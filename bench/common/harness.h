@@ -20,7 +20,8 @@
 
 /// \file harness.h
 /// Shared infrastructure for the paper-reproduction benchmark binaries
-/// (one binary per table/figure; see DESIGN.md §5).
+/// (one binary per table/figure; see the `bench/` row of README.md's
+/// source map).
 ///
 /// Responsibilities: benchmark-wide settings (sizes, trials, cache
 /// directory), tuned-config acquisition through the disk cache, evaluation

@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
     {
       trace::CycleTracer tracer;
       tune::TunedExecutor executor(config, sched, direct, engine.scratch(),
-                                   &tracer);
+                                   &tracer, engine.relax());
       Grid2D x(n, 0.0);
       x.copy_from(instance.problem.x0);
       executor.run_v(x, instance.problem.b, i);
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
     {
       trace::CycleTracer tracer;
       tune::TunedExecutor executor(config, sched, direct, engine.scratch(),
-                                   &tracer);
+                                   &tracer, engine.relax());
       Grid2D x(n, 0.0);
       x.copy_from(instance.problem.x0);
       executor.run_fmg(x, instance.problem.b, i);

@@ -105,7 +105,8 @@ int main(int argc, char** argv) {
   std::cout << "Autotuning on the point-source distribution ..." << std::endl;
   tune::Trainer trainer(options, engine);
   const tune::TunedConfig config = trainer.train();
-  tune::TunedExecutor executor(config, sched, direct, engine.scratch());
+  tune::TunedExecutor executor(config, sched, direct, engine.scratch(),
+                               nullptr, engine.relax());
   Grid2D x_tuned(n, 0.0);
   x_tuned.copy_from(problem.x0);
   WallTimer tuned_timer;

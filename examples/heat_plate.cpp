@@ -93,7 +93,8 @@ int main(int argc, char** argv) {
   tune::Trainer trainer(options, engine);
   std::cout << "Autotuning ..." << std::endl;
   const tune::TunedConfig config = trainer.train();
-  tune::TunedExecutor executor(config, sched, direct, engine.scratch());
+  tune::TunedExecutor executor(config, sched, direct, engine.scratch(),
+                               nullptr, engine.relax());
   Grid2D x_tuned(n, 0.0);
   x_tuned.copy_from(plate.x0);
   WallTimer tuned_timer;

@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   auto instance = tune::make_training_instance(
       n, InputDistribution::kUnbiased, rng, sched);
   tune::TunedExecutor executor(config, sched, engine.direct(),
-                               engine.scratch());
+                               engine.scratch(), nullptr, engine.relax());
   Grid2D x(n, 0.0);
   x.copy_from(instance.problem.x0);
   WallTimer solve_timer;

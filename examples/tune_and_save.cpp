@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
   auto instance = tune::make_training_instance(
       n, parse_distribution(config.distribution), rng, sched);
   tune::TunedExecutor executor(config, sched, engine.direct(),
-                               engine.scratch());
+                               engine.scratch(), nullptr, engine.relax());
   std::cout << "\n  target     time         achieved accuracy\n";
   for (int i = 0; i < config.accuracy_count(); ++i) {
     Grid2D x(n, 0.0);

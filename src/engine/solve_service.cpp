@@ -13,6 +13,33 @@
 
 namespace pbmg {
 
+namespace {
+
+// Identity of the generation's own family operator in the session cache
+// key: an address no coefficient allocation can ever share.
+const char kFamilyOperator = 0;
+
+// The accuracy checks all three solve paths share: an explicit index must
+// lie on `config`'s ladder, and an unset one needs a target.
+void validate_request(const tune::TunedConfig& config,
+                      const SolveRequest& request) {
+  if (request.accuracy_index >= config.accuracy_count()) {
+    throw ConfigError("SolveService: accuracy_index " +
+                      std::to_string(request.accuracy_index) +
+                      " is outside family '" + config.op_family +
+                      "' tuned ladder [0, " +
+                      std::to_string(config.accuracy_count()) + ")");
+  }
+  if (request.accuracy_index < 0 && request.target_accuracy <= 0.0) {
+    throw ConfigError(
+        "SolveService: request selects no accuracy — set accuracy_index to "
+        "a tuned ladder index or target_accuracy to a positive accuracy "
+        "level (the default-constructed request is deliberately invalid)");
+  }
+}
+
+}  // namespace
+
 SolveService::SolveService(Engine& engine, tune::TunedConfig config,
                            ServicePolicy policy)
     : engine_(engine),
@@ -47,7 +74,8 @@ SolveService::SolveService(Engine& engine, tune::TunedConfig config,
           metrics_.histogram("pbmg_route_fingerprint_distance")) {
   current_ = std::make_shared<Generation>();
   current_->engine = &engine_;
-  current_->config = std::move(config);
+  current_->config =
+      std::make_shared<const tune::TunedConfig>(std::move(config));
   generation_gauge_.set(1.0);
 }
 
@@ -66,7 +94,7 @@ void SolveService::install(tune::TunedConfig config,
                            obs::LatencyBaseline baseline,
                            std::shared_ptr<Engine> engine) {
   auto fresh = std::make_shared<Generation>();
-  fresh->config = std::move(config);
+  fresh->config = std::make_shared<const tune::TunedConfig>(std::move(config));
   std::int64_t id = 0;
   std::vector<std::shared_ptr<Generation>> reclaimed;
   {
@@ -81,6 +109,17 @@ void SolveService::install(tune::TunedConfig config,
     // engine, which outlives the service by contract.
     fresh->owned = engine ? std::move(engine) : current_->owned;
     fresh->engine = fresh->owned ? fresh->owned.get() : current_->engine;
+    // Family extensions carry over (their tables are still the best this
+    // service has for those operators, and retuned_families_ would block
+    // retraining them); the fresh config supersedes one of its own family.
+    // Copied under mutex_, in the same critical section as the swap, so an
+    // install_family racing this install either lands in the copy or sees
+    // the fresh generation when it re-reads current_.
+    {
+      std::lock_guard<std::mutex> gen_lock(current_->mutex);
+      fresh->family_configs = current_->family_configs;
+    }
+    fresh->family_configs.erase(fresh->config->op_family);
     retired_.push_back(current_);
     current_ = std::move(fresh);
     stats_.generation = id;
@@ -143,14 +182,11 @@ obs::Histogram& SolveService::latency_histogram(int n, int accuracy_index) {
 
 SessionRef SolveService::session_in(const std::shared_ptr<Generation>& gen,
                                     int n) {
+  const SessionKey key{&kFamilyOperator, n};
   {
     std::lock_guard<std::mutex> lock(gen->mutex);
-    auto it = gen->sessions.find(n);
-    if (it != gen->sessions.end()) {
-      it->second.last_used =
-          lru_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-      return SessionRef(it->second.session, gen);
-    }
+    auto it = gen->sessions.find(key);
+    if (it != gen->sessions.end()) return pin_locked(gen, it).ref;
   }
   // Construct outside the lock: prewarming a large level hierarchy
   // allocates and zero-fills megabytes, and must not stall unrelated
@@ -161,30 +197,48 @@ SessionRef SolveService::session_in(const std::shared_ptr<Generation>& gen,
   // non-Poisson tables solves the operator it was tuned for (the Poisson
   // family takes StencilOp's constant-coefficient fast path, bit-for-bit
   // the historical behaviour).
-  auto fresh = std::make_shared<SolveSession>(
-      *gen->engine, gen->config,
-      make_operator(n, parse_operator_family(gen->config.op_family)));
-  const std::size_t bytes = fresh->footprint_bytes();
-  SessionRef ref;
-  {
-    std::lock_guard<std::mutex> lock(gen->mutex);
-    auto [it, inserted] = gen->sessions.emplace(n, SessionSlot{});
-    if (inserted) {
-      it->second.session = std::move(fresh);
-      it->second.bytes = bytes;
-      gen->resident_bytes += bytes;
-      session_bytes_gauge_.set(static_cast<double>(
-          session_bytes_.fetch_add(bytes, std::memory_order_acq_rel) +
-          bytes));
-    }
-    it->second.last_used =
-        lru_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-    // Pin before enforcing, so the slot we are about to hand out is
-    // never its own eviction victim (use_count > 1 excludes it).
-    ref = SessionRef(it->second.session, gen);
-    if (inserted) enforce_policy_locked(*gen);
+  SessionSlot slot;
+  slot.session = std::make_shared<SolveSession>(
+      *gen->engine,
+      std::vector<tune::FamilyConfig>{{gen->config->op_family, gen->config}},
+      make_operator(n, parse_operator_family(gen->config->op_family)));
+  std::lock_guard<std::mutex> lock(gen->mutex);
+  return insert_locked(gen, key, std::move(slot)).ref;
+}
+
+SolveService::Bound SolveService::insert_locked(
+    const std::shared_ptr<Generation>& gen, const SessionKey& key,
+    SessionSlot slot) {
+  const std::size_t bytes = slot.session->footprint_bytes();
+  auto [it, inserted] = gen->sessions.emplace(key, std::move(slot));
+  if (inserted) {
+    it->second.bytes = bytes;
+    gen->resident_bytes += bytes;
+    session_bytes_gauge_.set(static_cast<double>(
+        session_bytes_.fetch_add(bytes, std::memory_order_acq_rel) + bytes));
   }
-  return ref;
+  // Pin before enforcing, so the slot we are about to hand out is never
+  // its own eviction victim (use_count > 1 excludes it).
+  Bound bound = pin_locked(gen, it);
+  if (inserted) enforce_policy_locked(*gen);
+  return bound;
+}
+
+SolveService::Bound SolveService::pin_locked(
+    const std::shared_ptr<Generation>& gen,
+    std::map<SessionKey, SessionSlot>::iterator slot) {
+  slot->second.last_used =
+      lru_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
+  return {SessionRef(slot->second.session, gen), slot->second.route};
+}
+
+void SolveService::erase_locked(
+    Generation& gen, std::map<SessionKey, SessionSlot>::iterator slot) {
+  const std::size_t bytes = slot->second.bytes;
+  gen.resident_bytes -= bytes;
+  gen.sessions.erase(slot);
+  session_bytes_gauge_.set(static_cast<double>(
+      session_bytes_.fetch_sub(bytes, std::memory_order_acq_rel) - bytes));
 }
 
 void SolveService::enforce_policy_locked(Generation& gen) {
@@ -200,7 +254,7 @@ void SolveService::enforce_policy_locked(Generation& gen) {
   while (over()) {
     // LRU among this generation's UNPINNED slots (use_count 1: only the
     // cache itself holds the session — no SessionRef, no in-flight
-    // batch).  Pinned sessions are untouchable no matter how stale, so
+    // solve).  Pinned sessions are untouchable no matter how stale, so
     // a workload that pins everything can exceed the budget; it drains
     // back under it as pins drop and later binds re-enforce.
     auto victim = gen.sessions.end();
@@ -212,12 +266,7 @@ void SolveService::enforce_policy_locked(Generation& gen) {
       }
     }
     if (victim == gen.sessions.end()) return;  // everything pinned
-    const std::size_t bytes = victim->second.bytes;
-    gen.resident_bytes -= bytes;
-    gen.sessions.erase(victim);
-    session_bytes_gauge_.set(static_cast<double>(
-        session_bytes_.fetch_sub(bytes, std::memory_order_acq_rel) -
-        bytes));
+    erase_locked(gen, victim);
     session_evictions_.add(1);
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -227,35 +276,57 @@ SessionRef SolveService::session(int n) {
   return session_in(current_generation(), n);
 }
 
-void SolveService::validate_request(const Generation& gen,
-                                    const SolveRequest& request) const {
-  if (request.accuracy_index >= gen.config.accuracy_count()) {
-    throw ConfigError(
-        "SolveService: accuracy_index " +
-        std::to_string(request.accuracy_index) +
-        " is outside the tuned ladder [0, " +
-        std::to_string(gen.config.accuracy_count()) + ")");
+void SolveService::account(std::span<const SolveStats> done, double seconds,
+                           bool routed) {
+  // Healthy and unhealthy latency split: the per-(n, acc) histograms are
+  // what the drift watcher (and any operator reading them) treats as
+  // healthy serving latency, and observe_drift already refuses
+  // unconverged samples — recording them here anyway would quietly skew
+  // the very distribution the watcher compares against.  A solve that
+  // failed its residual audit is accounted where thrown solves go.  A
+  // batch is ONE sample: the fused walk has one wall-clock, so per-RHS
+  // samples would overcount the histogram K-fold; it is healthy only when
+  // every RHS converged, while the outcome counters still split per RHS.
+  const auto count = static_cast<std::int64_t>(done.size());
+  std::int64_t converged = 0;
+  for (const SolveStats& stats : done) {
+    if (stats.converged) ++converged;
   }
-  if (request.accuracy_index < 0 && request.target_accuracy <= 0.0) {
-    throw ConfigError(
-        "SolveService: request selects no accuracy — set accuracy_index to "
-        "a tuned ladder index or target_accuracy to a positive accuracy "
-        "level (the default-constructed request is deliberately invalid)");
+  if (converged == count) {
+    latency_histogram(done.front().n, done.front().accuracy_index)
+        .record(seconds);
+  } else {
+    failure_seconds_.record(seconds);
   }
+  requests_ok_.add(converged);
+  requests_unconverged_.add(count - converged);
+  std::lock_guard<std::mutex> lock(mutex_);
+  stats_.requests += count;
+  if (routed) stats_.routed_requests += count;
+  stats_.busy_seconds += seconds;
+}
+
+void SolveService::account_failure(std::int64_t count, double seconds) {
+  failures_total_.add(count);
+  requests_error_.add(count);
+  // Failed solves cost wall-clock too; without this histogram a wave of
+  // fast-failing requests would be invisible in latency telemetry.
+  failure_seconds_.record(seconds);
+  std::lock_guard<std::mutex> lock(mutex_);
+  stats_.failures += count;
 }
 
 SolveStats SolveService::solve(Grid2D& x, const Grid2D& b,
                                const SolveRequest& request) {
   SolveStats stats;
-  int index = -1;
   const std::shared_ptr<Generation> gen = current_generation();
   const double t0 = now_seconds();
   try {
-    validate_request(*gen, request);
+    validate_request(*gen->config, request);
     const SessionRef bound = session_in(gen, x.n());
-    index = request.accuracy_index >= 0
-                ? request.accuracy_index
-                : bound->accuracy_index(request.target_accuracy);
+    const int index = request.accuracy_index >= 0
+                          ? request.accuracy_index
+                          : bound->accuracy_index(request.target_accuracy);
     stats = request.fmg
                 ? bound->solve_fmg(x, b, index, request.profile,
                                    request.residual)
@@ -263,34 +334,11 @@ SolveStats SolveService::solve(Grid2D& x, const Grid2D& b,
                                  request.residual);
     stats.generation = gen->id;
   } catch (...) {
-    failures_total_.add(1);
-    requests_error_.add(1);
-    // Failed solves cost wall-clock too; without this histogram a wave of
-    // fast-failing requests would be invisible in latency telemetry.
-    failure_seconds_.record(now_seconds() - t0);
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.failures;
+    account_failure(1, now_seconds() - t0);
     throw;
   }
-  // Healthy and unhealthy latency split: the per-(n, acc) histograms are
-  // what the drift watcher (and any operator reading them) treats as
-  // healthy serving latency, and observe_drift already refuses
-  // unconverged samples — recording them here anyway would quietly skew
-  // the very distribution the watcher compares against.  A solve that
-  // failed its residual audit is accounted where thrown solves go.
-  if (stats.converged) {
-    latency_histogram(stats.n, index).record(stats.seconds);
-    requests_ok_.add(1);
-  } else {
-    failure_seconds_.record(stats.seconds);
-    requests_unconverged_.add(1);
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.requests;
-    stats_.busy_seconds += stats.seconds;
-  }
-  observe_drift(gen, stats, index, request.fmg);
+  account({&stats, 1}, stats.seconds, false);
+  observe_drift(gen, stats, stats.accuracy_index, request.fmg);
   return stats;
 }
 
@@ -299,16 +347,14 @@ std::vector<SolveStats> SolveService::solve_batch(std::span<Grid2D* const> xs,
                                                   const SolveRequest& request) {
   std::vector<SolveStats> all;
   if (xs.empty()) return all;
-  const auto count = static_cast<std::int64_t>(xs.size());
   const std::shared_ptr<Generation> gen = current_generation();
   const double t0 = now_seconds();
-  int index = -1;
   try {
-    validate_request(*gen, request);
+    validate_request(*gen->config, request);
     const SessionRef bound = session_in(gen, b_template.n());
-    index = request.accuracy_index >= 0
-                ? request.accuracy_index
-                : bound->accuracy_index(request.target_accuracy);
+    const int index = request.accuracy_index >= 0
+                          ? request.accuracy_index
+                          : bound->accuracy_index(request.target_accuracy);
     batch_size_.record(static_cast<double>(xs.size()));
     if (request.fmg) {
       // FULL-MULTIGRID has no fused multi-RHS walk (its ESTIMATE ramp is
@@ -326,36 +372,12 @@ std::vector<SolveStats> SolveService::solve_batch(std::span<Grid2D* const> xs,
     for (SolveStats& stats : all) stats.generation = gen->id;
   } catch (...) {
     // A throw mid-walk fails every request in the batch.
-    failures_total_.add(count);
-    requests_error_.add(count);
-    failure_seconds_.record(now_seconds() - t0);
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats_.failures += count;
+    account_failure(static_cast<std::int64_t>(xs.size()), now_seconds() - t0);
     throw;
   }
-  // One latency sample per batch: the fused walk has one wall-clock (the
-  // FMG loop's per-solve times sum to it), so per-RHS samples would
-  // overcount the histogram K-fold.  The sample is healthy only when
-  // EVERY RHS converged; outcome counters still split per RHS.  Batched
-  // samples never feed the drift watcher — batch wall-clock grows with K
-  // and is incomparable to the solo per-solve baseline.
-  std::int64_t converged = 0;
-  for (const SolveStats& stats : all) {
-    if (stats.converged) ++converged;
-  }
-  const double seconds = now_seconds() - t0;
-  if (converged == count) {
-    latency_histogram(b_template.n(), index).record(seconds);
-  } else {
-    failure_seconds_.record(seconds);
-  }
-  requests_ok_.add(converged);
-  requests_unconverged_.add(count - converged);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats_.requests += count;
-    stats_.busy_seconds += seconds;
-  }
+  // Batched samples never feed the drift watcher — batch wall-clock grows
+  // with K and is incomparable to the solo per-solve baseline.
+  account(all, now_seconds() - t0, false);
   return all;
 }
 
@@ -443,76 +465,76 @@ obs::Counter& SolveService::route_counter(const std::string& family,
 
 void SolveService::install_family(tune::TunedConfig config) {
   const std::string name = config.op_family;
-  auto fresh = std::make_shared<const tune::TunedConfig>(std::move(config));
-  const std::shared_ptr<Generation> gen = current_generation();
-  std::vector<std::shared_ptr<const OpBinding>> dropped;
-  {
-    std::lock_guard<std::mutex> lock(gen->mutex);
-    gen->family_configs[name] = std::move(fresh);
-    // Drop the bindings this install supersedes: operators whose nearest
-    // family is the one just trained but which were being served by a
-    // stand-in.  Their next request re-routes onto the new tables; every
-    // other binding — and every in-flight solve, which holds its own
-    // shared_ptr — is untouched.
-    auto it = gen->bindings.begin();
-    while (it != gen->bindings.end()) {
-      if (it->second->nearest_family == name &&
-          it->second->served_family != name) {
-        dropped.push_back(std::move(it->second));
-        it = gen->bindings.erase(it);
-      } else {
-        ++it;
+  const auto fresh =
+      std::make_shared<const tune::TunedConfig>(std::move(config));
+  std::vector<std::shared_ptr<SolveSession>> dropped;
+  // Extend the live generation; if an install() swapped it meanwhile (and
+  // its family_configs copy missed this extension), extend the fresh one
+  // too.
+  for (std::shared_ptr<Generation> gen = current_generation();;) {
+    {
+      std::lock_guard<std::mutex> lock(gen->mutex);
+      gen->family_configs[name] = fresh;
+      // Drop the routed sessions this install supersedes: operators whose
+      // nearest family is the one just trained but which were being
+      // served by a stand-in.  Their next request re-routes onto the new
+      // tables; every other entry — and every in-flight solve, which pins
+      // its own session — is untouched.
+      auto it = gen->sessions.begin();
+      while (it != gen->sessions.end()) {
+        const Route& route = it->second.route;
+        if (route.stand_in && to_string(route.nearest) == name) {
+          dropped.push_back(std::move(it->second.session));
+          erase_locked(*gen, it++);
+        } else {
+          ++it;
+        }
       }
     }
+    std::shared_ptr<Generation> live = current_generation();
+    if (live == gen) break;
+    gen = std::move(live);
   }
-  // `dropped` destructs here, outside the lock: each binding tears down a
+  // `dropped` destructs here, outside the lock: each session tears down a
   // DynamicSolver's coefficient hierarchies and executors.
 }
 
-std::shared_ptr<const SolveService::OpBinding> SolveService::binding_for(
+SolveService::Bound SolveService::routed_in(
     const std::shared_ptr<Generation>& gen, const grid::StencilOp& op) {
-  const std::pair<const void*, int> key{op.identity(), op.n()};
+  const SessionKey key{op.identity(), op.n()};
   for (;;) {
-    std::map<std::string, std::shared_ptr<const tune::TunedConfig>> table;
+    FamilyTable table;
     {
       std::lock_guard<std::mutex> lock(gen->mutex);
-      auto it = gen->bindings.find(key);
-      if (it != gen->bindings.end()) return it->second;
+      auto it = gen->sessions.find(key);
+      if (it != gen->sessions.end()) return pin_locked(gen, it);
       table = gen->family_configs;
     }
-    // Fingerprint + solver construction run outside the generation lock:
+    // Fingerprint + session construction run outside the generation lock:
     // the fingerprint sweep is O(n²) and the bind coarsens/prewarms a
     // full hierarchy, neither of which may stall in-flight requests.
-    auto binding = std::make_shared<OpBinding>();
-    binding->op = op;  // pins identity() against allocator reuse
-    binding->fp = grid::fingerprint(op);
     const std::vector<grid::FamilyMatch> ranked =
-        grid::rank_families(binding->fp);
-    binding->nearest = ranked.front().family;
-    binding->nearest_family = to_string(ranked.front().family);
-    binding->nearest_distance = ranked.front().distance;
+        grid::rank_families(grid::fingerprint(op));
+    const std::string nearest = to_string(ranked.front().family);
     // The construction config serves as the fallback tables for its own
-    // family unless an install_family extension superseded it.  Reading
-    // gen->config without the lock is safe: it is immutable for the
-    // generation's lifetime.
-    const std::string primary_family = gen->config.op_family;
-    if (table.find(primary_family) == table.end()) {
-      table[primary_family] =
-          std::shared_ptr<const tune::TunedConfig>(gen, &gen->config);
-    }
+    // family unless an install_family extension superseded it.
+    table.emplace(gen->config->op_family, gen->config);
     // Escalation ladder: every family with tables deep enough for this
     // operator, nearest first.  The served family is the first rung.
     const int level = level_of_size(op.n());
+    SessionSlot slot;
+    Route& route = slot.route;
+    route.nearest = ranked.front().family;
     std::vector<tune::FamilyConfig> ladder;
     for (const grid::FamilyMatch& match : ranked) {
-      const std::string name = to_string(match.family);
+      std::string name = to_string(match.family);
       auto it = table.find(name);
       if (it == table.end() || it->second->max_level() < level) continue;
       if (ladder.empty()) {
-        binding->served_family = name;
-        binding->served_distance = match.distance;
+        route.served_family = name;
+        route.served_distance = match.distance;
       }
-      ladder.push_back({name, it->second});
+      ladder.push_back({std::move(name), it->second});
     }
     if (ladder.empty()) {
       throw ConfigError(
@@ -520,30 +542,25 @@ std::shared_ptr<const SolveService::OpBinding> SolveService::binding_for(
           std::to_string(level) + " (n=" + std::to_string(op.n()) +
           ") — train deeper tables before routing this size");
     }
-    binding->matched =
-        binding->served_distance <= route_policy_.match_threshold;
-    binding->served_config = ladder.front().config;
-    binding->solver = std::make_shared<const tune::DynamicSolver>(
-        op, std::move(ladder), gen->engine->scheduler(),
-        gen->engine->direct(), gen->engine->scratch(),
-        gen->engine->relax());
-    {
-      std::lock_guard<std::mutex> lock(gen->mutex);
-      // install_family may have landed while this binding was building;
-      // if the freshly installed tables are exactly the ones this binding
-      // settled for a stand-in over, rebuild against the new map rather
-      // than caching a decision the install just invalidated.
-      if (binding->served_family != binding->nearest_family &&
-          gen->family_configs.count(binding->nearest_family) != 0 &&
-          table.count(binding->nearest_family) == 0) {
-        continue;
-      }
-      auto [it, inserted] = gen->bindings.emplace(key, std::move(binding));
-      // An emplace race keeps the winner; the loser's solver (and its
-      // prewarmed grids, already returned to the shared pool) is dropped.
-      return it->second;
+    route.matched = route.served_distance <= route_policy_.match_threshold;
+    route.stand_in = route.served_family != nearest;
+    slot.session =
+        std::make_shared<SolveSession>(*gen->engine, std::move(ladder), op);
+    std::lock_guard<std::mutex> lock(gen->mutex);
+    // install_family may have landed while this session was building; if
+    // the freshly installed tables are exactly the ones this route settled
+    // for a stand-in over, rebuild against the new map rather than caching
+    // a decision the install just invalidated.
+    if (route.stand_in && gen->family_configs.count(nearest) != 0 &&
+        table.count(nearest) == 0) {
+      continue;
     }
+    return insert_locked(gen, key, std::move(slot));
   }
+}
+
+SessionRef SolveService::session(const grid::StencilOp& op) {
+  return routed_in(current_generation(), op).ref;
 }
 
 bool SolveService::start_family_retune(OperatorFamily family) {
@@ -599,7 +616,7 @@ SolveStats SolveService::solve_op(const grid::StencilOp& op, Grid2D& x,
                                   const SolveRequest& request,
                                   tune::DynamicResult* detail) {
   SolveStats stats;
-  std::shared_ptr<const OpBinding> binding;
+  Bound bound;
   tune::DynamicResult result;
   bool retune_fired = false;
   const std::shared_ptr<Generation> gen = current_generation();
@@ -610,43 +627,26 @@ SolveStats SolveService::solve_op(const grid::StencilOp& op, Grid2D& x,
           "SolveService: solve_op drives tuned V variants; FMG requests "
           "must go through solve() on a trained family");
     }
-    binding = binding_for(gen, op);
-    if (!binding->matched) {
-      // Outside every tuned family's threshold: serve from the nearest
-      // stand-in, and train the real family in the background — once.
-      // (When the nearest family already has tables, the binding is
-      // served by them and there is nothing better to train.)
-      if (binding->served_family != binding->nearest_family) {
-        retune_fired = start_family_retune(binding->nearest);
-      }
+    bound = routed_in(gen, op);
+    // Outside every tuned family's threshold and served by a stand-in:
+    // train the real family in the background — once.  (When the nearest
+    // family already has tables, it serves the request and there is
+    // nothing better to train.)
+    if (!bound.route.matched && bound.route.stand_in) {
+      retune_fired = start_family_retune(bound.route.nearest);
     }
-    double target = request.target_accuracy;
-    if (request.accuracy_index >= 0) {
-      if (request.accuracy_index >=
-          binding->served_config->accuracy_count()) {
-        throw ConfigError(
-            "SolveService: accuracy_index " +
-            std::to_string(request.accuracy_index) +
-            " is outside family '" + binding->served_family +
-            "' tuned ladder [0, " +
-            std::to_string(binding->served_config->accuracy_count()) + ")");
-      }
-      target = binding->served_config
-                   ->accuracies()[static_cast<std::size_t>(
-                       request.accuracy_index)];
-    } else if (request.target_accuracy <= 0.0) {
-      throw ConfigError(
-          "SolveService: request selects no accuracy — set accuracy_index "
-          "to a tuned ladder index or target_accuracy to a positive "
-          "accuracy level (the default-constructed request is deliberately "
-          "invalid)");
-    }
-    result = binding->solver->solve(x, b, target,
-                                    route_policy_.max_iterations,
-                                    request.profile.get());
+    const tune::DynamicSolver& solver = bound.ref->solver();
+    validate_request(solver.config(), request);
+    const double target =
+        request.accuracy_index >= 0
+            ? solver.config().accuracies()[static_cast<std::size_t>(
+                  request.accuracy_index)]
+            : request.target_accuracy;
+    result = solver.solve(x, b, target, route_policy_.max_iterations,
+                          request.profile.get());
     stats.seconds = result.seconds;
-    stats.n = binding->solver->n();
-    stats.level = binding->solver->level();
+    stats.n = solver.n();
+    stats.level = solver.level();
     stats.accuracy_index = result.final_accuracy_index;
     stats.iterations = result.iterations;
     stats.converged = result.converged;
@@ -656,11 +656,7 @@ SolveStats SolveService::solve_op(const grid::StencilOp& op, Grid2D& x,
     stats.generation = gen->id;
     stats.phases = request.profile;
   } catch (...) {
-    failures_total_.add(1);
-    requests_error_.add(1);
-    failure_seconds_.record(now_seconds() - t0);
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.failures;
+    account_failure(1, now_seconds() - t0);
     throw;
   }
   // Routing telemetry.  Outcome precedence: a request that fired a
@@ -668,30 +664,19 @@ SolveStats SolveService::solve_op(const grid::StencilOp& op, Grid2D& x,
   // an escalated request (cross-family switch mid-solve, or served
   // outside the threshold) beats a plain match.
   const char* outcome = retune_fired ? "retune"
-                        : (result.family_switches > 0 || !binding->matched)
+                        : (result.family_switches > 0 || !bound.route.matched)
                             ? "escalated"
                             : "matched";
-  route_counter(binding->served_family, outcome).add(1);
-  route_distance_.record(binding->served_distance);
+  route_counter(bound.route.served_family, outcome).add(1);
+  route_distance_.record(bound.route.served_distance);
   if (result.escalations > 0) route_escalations_.add(result.escalations);
   if (result.family_switches > 0) {
     route_switches_.add(result.family_switches);
   }
-  // Routed solves do not land in the per-(n, acc) latency histograms or
-  // the drift watcher: their adaptive invocation count makes the latency
-  // incomparable to the fixed-shape baseline distribution.
-  if (stats.converged) {
-    requests_ok_.add(1);
-  } else {
-    failure_seconds_.record(stats.seconds);
-    requests_unconverged_.add(1);
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.requests;
-    ++stats_.routed_requests;
-    stats_.busy_seconds += stats.seconds;
-  }
+  // Routed solves never reach the drift watcher: their adaptive
+  // invocation count makes the latency incomparable to the fixed-shape
+  // baseline distribution.
+  account({&stats, 1}, stats.seconds, true);
   if (detail != nullptr) *detail = std::move(result);
   return stats;
 }
@@ -754,9 +739,9 @@ std::size_t SolveService::trim() {
 Engine& SolveService::engine() const { return *current_generation()->engine; }
 
 const tune::TunedConfig& SolveService::config() const {
-  // Safe to return by reference: generations are retained (retired_) for
-  // the service's lifetime, so the referent outlives every caller.
-  return current_generation()->config;
+  // The referent lives as long as its generation: until an install()
+  // retires it AND its last pin drops (see the header).
+  return *current_generation()->config;
 }
 
 obs::RegistrySnapshot SolveService::metrics_snapshot() {

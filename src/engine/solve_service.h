@@ -31,8 +31,9 @@
 /// makes aggregate throughput scale with client count
 /// (bench/fig17_concurrent_service).
 ///
-/// The service also owns an obs::MetricsRegistry: every *converged*
-/// solve lands in a per-(grid size × accuracy) latency histogram
+/// The service also owns an obs::MetricsRegistry, fed by all three solve
+/// paths through one accounting helper: every *converged* solve lands in
+/// a per-(grid size × accuracy) latency histogram
 /// (`pbmg_solve_latency_seconds{n="...",acc="..."}`); solves that threw
 /// OR failed their residual audit land in `pbmg_solve_failure_seconds`
 /// instead — the healthy histograms feed the drift watcher, and a
@@ -54,27 +55,30 @@
 ///
 /// Operator routing (solve_op): arbitrary-coefficient requests are
 /// fingerprinted (grid/fingerprint.h), routed to the nearest tuned
-/// family, and served by a cached per-operator DynamicSolver with
-/// cross-family escalation (tune/dynamic.h).  Fingerprints outside every
-/// tuned family's match threshold fire a once-per-family background
-/// retune whose tables install as a generation *extension*
-/// (install_family) — the generation id and in-flight solves are
-/// untouched.  Route outcomes export as
-/// `pbmg_route_total{family,outcome=matched|escalated|retune}` plus a
-/// fingerprint-distance histogram.
+/// family, and served by a cached per-operator SolveSession whose
+/// DynamicSolver carries a cross-family escalation ladder
+/// (tune/dynamic.h).  Fingerprints outside every tuned family's match
+/// threshold fire a once-per-family background retune whose tables
+/// install as a generation *extension* (install_family) — the
+/// generation id and in-flight solves are untouched.  Route outcomes
+/// export as `pbmg_route_total{family,outcome=matched|escalated|retune}`
+/// plus a fingerprint-distance histogram.
 ///
 /// Fleet-scale memory: sessions are the expensive resident state (packed
-/// coefficient streams, RAP ladders, prewarmed scratch), so the session
-/// cache is byte-budgeted.  ServicePolicy caps resident session bytes
-/// and/or session count; binding a size past the budget evicts the
-/// least-recently-used *unpinned* sessions
-/// (`pbmg_session_evictions_total`), and session() hands out a pinning
-/// SessionRef so a session in use is never destroyed under its caller.
-/// The same pin keeps the whole generation alive: a retired generation is
-/// reclaimed — sessions, and its engine when generation-owned — as soon
-/// as its last SessionRef drops and no solve is in flight on it, instead
-/// of being retained for the service's lifetime.  Resident bytes across
-/// all generations are exported as `pbmg_session_bytes`.
+/// coefficient streams, RAP ladders, prewarmed scratch), so the one
+/// session cache is byte-budgeted.  It holds both kinds of entry: the
+/// generation's own family operator per grid size (solve, solve_batch,
+/// session(n)) and every routed operator × size (solve_op), and both
+/// count against ServicePolicy.  Binding past the budget evicts the
+/// least-recently-used *unpinned* entries
+/// (`pbmg_session_evictions_total`), and every solve — like the SessionRef
+/// session() hands out — pins the entry it runs on, so an entry in use is
+/// never destroyed under its caller.  The same pin keeps the whole
+/// generation alive: a retired generation is reclaimed — sessions, and its
+/// engine when generation-owned — as soon as its last SessionRef drops
+/// and no solve is in flight on it, instead of being retained for the
+/// service's lifetime.  Resident bytes across all generations are
+/// exported as `pbmg_session_bytes`.
 
 namespace pbmg {
 
@@ -109,13 +113,13 @@ struct RoutePolicy {
   int max_iterations = 64;
 };
 
-/// Admission/eviction budget for the session cache.  Zero means
-/// unlimited (the historical behaviour).  The byte budget counts
-/// SolveSession::footprint_bytes across every retained generation; a bind
-/// that would exceed it evicts LRU-first among the live generation's
-/// unpinned sessions.  A single session larger than the budget is still
-/// admitted (the service must be able to serve it) — the budget then
-/// empties everything else.
+/// Admission/eviction budget for the session cache, routed operators
+/// included.  Zero means unlimited (the historical behaviour).  The byte
+/// budget counts SolveSession::footprint_bytes across every retained
+/// generation; a bind that would exceed it evicts LRU-first among the
+/// live generation's unpinned sessions.  A single session larger than
+/// the budget is still admitted (the service must be able to serve it) —
+/// the budget then empties everything else.
 struct ServicePolicy {
   std::size_t max_session_bytes = 0;  ///< resident footprint cap (0 = off)
   std::size_t max_sessions = 0;       ///< live-generation count cap (0 = off)
@@ -127,7 +131,8 @@ struct ServiceStats {
   std::int64_t requests = 0;     ///< solves completed (batch counts each RHS)
   std::int64_t failures = 0;     ///< solves that threw
   double busy_seconds = 0.0;     ///< sum of per-request solve seconds
-  std::size_t sessions = 0;      ///< grid sizes bound in the live generation
+  std::size_t sessions = 0;      ///< sessions (sizes + routed operators)
+                                 ///< bound in the live generation
   std::int64_t evictions = 0;    ///< sessions evicted by the cache budget
   std::size_t session_bytes = 0;  ///< resident session bytes, all generations
   std::size_t retired_generations = 0;  ///< retired gens still pinned alive
@@ -143,9 +148,9 @@ struct ServiceStats {
   std::int64_t family_retunes = 0;   ///< background family retunes launched
 };
 
-/// Pinning handle to a cached SolveSession.  While any SessionRef to a
-/// session exists, the eviction sweep will not destroy it, and the
-/// generation that owns it (config + engine + sibling sessions) stays
+/// Pinning handle to a cached SolveSession (a grid size or a routed
+/// operator).  While any SessionRef to a session exists, the eviction
+/// sweep will not destroy it, and the generation that owns it (config + engine + sibling sessions) stays
 /// alive even after being retired by an install().  Dropping the last
 /// ref makes the session evictable again and lets a retired generation's
 /// memory be reclaimed.  Copyable and cheap (two shared_ptrs); the
@@ -206,7 +211,10 @@ class SolveService {
   /// Atomically installs a new generation: new requests bind the fresh
   /// config (and engine, when non-null — otherwise the live generation's
   /// engine is inherited), in-flight solves finish where they started,
-  /// and the drift watcher — if armed — is rebased onto `baseline`.
+  /// and the drift watcher — if armed — is rebased onto `baseline`.  The
+  /// live generation's install_family extensions carry over (except one
+  /// for the fresh config's own family, which the fresh config replaces),
+  /// so a drift install never silently drops a routed family.
   /// Thread-safe; called by the background retune and usable directly.
   void install(tune::TunedConfig config, obs::LatencyBaseline baseline = {},
                std::shared_ptr<Engine> engine = nullptr);
@@ -237,16 +245,17 @@ class SolveService {
   /// fingerprint routes to that family serve from these tables.  Unlike
   /// install(), this is a generation *extension* — the generation id,
   /// its engine, its sessions, and every in-flight solve are untouched;
-  /// only routed bindings that were standing in for this family are
+  /// only routed sessions that were standing in for this family are
   /// dropped so their next request re-routes.  Thread-safe; called by
   /// the background family retune and usable directly.
   void install_family(tune::TunedConfig config);
 
-  /// Serves one arbitrary-operator request: fingerprints `op` (cached
-  /// per operator identity × size), routes to the nearest tuned family
-  /// within the match threshold (escalating across families when the
-  /// input underperforms, tune/dynamic.h), and solves on the calling
-  /// thread.  A fingerprint outside every tuned family's threshold is
+  /// Serves one arbitrary-operator request: fingerprints `op` (once per
+  /// operator identity × size — the decision is cached with the routed
+  /// session), routes to the nearest tuned family within the match
+  /// threshold (escalating across families when the input
+  /// underperforms, tune/dynamic.h), and solves on the calling thread.
+  /// A fingerprint outside every tuned family's threshold is
   /// still served (nearest family) and — once per family — fires the
   /// background retune armed by enable_operator_routing, whose result
   /// installs via install_family.  `request.accuracy_index` selects the
@@ -255,11 +264,13 @@ class SolveService {
   /// rejected — routed solves drive tuned V variants.  The returned
   /// stats carry the honest dynamic outcome (real variant invocations,
   /// out-of-window residual audit); `detail`, when non-null, receives
-  /// the full per-variant breakdown.  Routed solves never feed the
-  /// latency histograms or the drift watcher (their adaptive iteration
-  /// count is not comparable to the fixed-shape baseline); they land in
+  /// the full per-variant breakdown.  Routed solves are counted like
+  /// every other request (outcome counters, the per-(n, final accuracy
+  /// index) latency histogram) and additionally land in
   /// pbmg_route_total{family,outcome} and the fingerprint-distance
-  /// histogram instead.  Thread-safe; throws like solve().
+  /// histogram, but never feed the drift watcher (their adaptive
+  /// iteration count is not comparable to the fixed-shape baseline).
+  /// Thread-safe; throws like solve().
   SolveStats solve_op(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
                       const SolveRequest& request,
                       tune::DynamicResult* detail = nullptr);
@@ -290,6 +301,12 @@ class SolveService {
   /// an install() the ref stays valid but no longer receives new solve()
   /// traffic.
   SessionRef session(int n);
+
+  /// The live generation's routed session for `op` — the entry solve_op
+  /// serves it from — fingerprinting and binding it on first use.  Pins
+  /// like session(n).  Thread-safe; throws ConfigError when no tuned
+  /// family covers op's size.
+  SessionRef session(const grid::StencilOp& op);
 
   /// Counter snapshot.  scratch_hit_rate and scheduler_steals are sampled
   /// from the live generation's engine at call time; the rest are service
@@ -330,30 +347,39 @@ class SolveService {
   const tune::TunedConfig& config() const;
 
  private:
-  /// One cache entry: the session plus its eviction bookkeeping.
+  /// A routed entry's routing decision, made once at bind time.
+  struct Route {
+    OperatorFamily nearest = OperatorFamily::kPoisson;  ///< overall nearest
+    std::string served_family;     ///< nearest family WITH tuned tables
+    double served_distance = 0.0;
+    bool matched = false;   ///< served_distance within the match threshold
+    bool stand_in = false;  ///< served_family is not the nearest family
+  };
+
+  /// Cache key: (operator identity, n).  The generation's own family
+  /// operator uses the kFamilyOperator sentinel identity, so solve()
+  /// never builds or fingerprints an operator to look its session up.
+  using SessionKey = std::pair<const void*, int>;
+
+  /// One cache entry: the session, its eviction bookkeeping and — for
+  /// routed entries — the routing decision.  The session's operator copy
+  /// keeps the coefficient storage, and with it the identity() key,
+  /// alive for the entry's lifetime.
   struct SessionSlot {
     std::shared_ptr<SolveSession> session;
+    Route route;
     std::size_t bytes = 0;        ///< footprint_bytes() at bind time
     std::uint64_t last_used = 0;  ///< global LRU tick of the last bind
   };
 
-  /// One cached routing decision: an operator's fingerprint, the family
-  /// it routed to, and the bound DynamicSolver (prewarmed hierarchies +
-  /// executors).  Immutable once published; the StencilOp copy keeps the
-  /// coefficient storage — and with it the identity() cache key — alive
-  /// for the binding's lifetime.
-  struct OpBinding {
-    grid::StencilOp op;
-    grid::OperatorFingerprint fp;
-    std::string nearest_family;      ///< overall-nearest canonical family
-    OperatorFamily nearest = OperatorFamily::kPoisson;
-    double nearest_distance = 0.0;
-    std::string served_family;       ///< nearest family WITH tuned tables
-    double served_distance = 0.0;
-    bool matched = false;  ///< served_distance within the match threshold
-    std::shared_ptr<const tune::DynamicSolver> solver;
-    std::shared_ptr<const tune::TunedConfig> served_config;
+  /// A pinned entry and its routing decision.
+  struct Bound {
+    SessionRef ref;
+    Route route;
   };
+
+  using FamilyTable =
+      std::map<std::string, std::shared_ptr<const tune::TunedConfig>>;
 
   /// One immutable (config, engine, sessions) unit.  `owned` is null
   /// when the engine is caller-owned (generation 1, and config-only
@@ -366,40 +392,53 @@ class SolveService {
     std::int64_t id = 1;
     std::shared_ptr<Engine> owned;
     Engine* engine = nullptr;
-    tune::TunedConfig config;
-    std::mutex mutex;  // guards sessions + resident_bytes + the two maps
-                       // below (family_configs, bindings)
-    std::map<int, SessionSlot> sessions;
+    /// The construction config, held standalone: sessions and routed
+    /// ladders share this pointer, and must not keep the generation
+    /// itself alive (an aliasing pointer into it would be a cycle).
+    std::shared_ptr<const tune::TunedConfig> config;
+    std::mutex mutex;  // guards sessions, resident_bytes, family_configs
+    std::map<SessionKey, SessionSlot> sessions;
     std::size_t resident_bytes = 0;  ///< sum of slot bytes in this gen
     /// Generation extensions: per-family tuned tables installed after
     /// this generation went live (install_family).  The construction
     /// config stays the fallback for its own op_family.
-    std::map<std::string, std::shared_ptr<const tune::TunedConfig>>
-        family_configs;
-    /// Routed-operator cache keyed by (StencilOp::identity, n).
-    std::map<std::pair<const void*, int>, std::shared_ptr<const OpBinding>>
-        bindings;
+    FamilyTable family_configs;
   };
 
   std::shared_ptr<Generation> current_generation() const;
   SessionRef session_in(const std::shared_ptr<Generation>& gen, int n);
+  /// The routed entry for `op` in `gen`, fingerprinting and binding it on
+  /// first sight (construction happens outside the generation lock).
+  Bound routed_in(const std::shared_ptr<Generation>& gen,
+                  const grid::StencilOp& op);
+  /// Inserts `slot` under `key` (an emplace race keeps the winner), pins
+  /// it, and enforces the policy.  Caller must hold gen->mutex.
+  Bound insert_locked(const std::shared_ptr<Generation>& gen,
+                      const SessionKey& key, SessionSlot slot);
+  /// Marks `slot` used (LRU) and pins it.  Caller must hold gen->mutex.
+  Bound pin_locked(const std::shared_ptr<Generation>& gen,
+                   std::map<SessionKey, SessionSlot>::iterator slot);
   /// Evicts LRU unpinned slots from `gen` until the policy is satisfied
   /// (or nothing evictable remains).  Caller must hold gen->mutex.
   void enforce_policy_locked(Generation& gen);
+  /// Removes one slot and its bytes from the account.  Caller must hold
+  /// gen.mutex.
+  void erase_locked(Generation& gen,
+                    std::map<SessionKey, SessionSlot>::iterator slot);
   /// Moves retired generations nobody pins into `out` for destruction
   /// outside the lock.  Caller must hold mutex_.
   void reclaim_retired_locked(
       std::vector<std::shared_ptr<Generation>>& out);
-  void validate_request(const Generation& gen,
-                        const SolveRequest& request) const;
+  /// The one request-accounting path: outcome counters, service counters
+  /// and ONE latency sample of `seconds` for the solves in `done` (a
+  /// batch is one sample) — healthy only when every solve converged.
+  void account(std::span<const SolveStats> done, double seconds,
+               bool routed);
+  /// Accounting for `count` requests that threw after `seconds`.
+  void account_failure(std::int64_t count, double seconds);
   void observe_drift(const std::shared_ptr<Generation>& gen,
                      const SolveStats& stats, int accuracy_index, bool fmg);
   void start_retune();
-  /// The cached routing decision for `op` in `gen`, fingerprinting and
-  /// binding a DynamicSolver on first sight (construction happens outside
-  /// the generation lock; an emplace race keeps the winner).
-  std::shared_ptr<const OpBinding> binding_for(
-      const std::shared_ptr<Generation>& gen, const grid::StencilOp& op);
   /// Launches the once-per-family background retune; returns true when
   /// THIS call fired it (false: no callback, family already handled, or
   /// another retune is mid-flight — the family stays unhandled so a

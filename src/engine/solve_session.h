@@ -10,21 +10,22 @@
 #include "grid/stencil_op.h"
 #include "obs/phase_profile.h"
 #include "solvers/multigrid.h"
-#include "tune/executor.h"
+#include "tune/dynamic.h"
 #include "tune/table.h"
 
 /// \file solve_session.h
-/// A prepared solve context: Engine + TunedConfig + operator + grid size.
+/// A prepared solve context: Engine + tuned config(s) + operator + size.
 ///
 /// Sessions amortize per-request setup for a service that answers many
-/// solves of one size: the tuned executor is bound once, the bound
-/// operator's coarse coefficient hierarchy is restricted once (stencil
-/// coefficients never re-coarsen on the solve path), and the level
-/// hierarchy's scratch grids are preallocated into the engine's pool so
-/// the first request pays no allocation bursts.  All solve entry points
-/// are const and thread-safe (the underlying scheduler and scratch pool
-/// are concurrent); many client threads may solve through one session as
-/// long as each brings its own x/b grids.
+/// solves of one operator: the bind-time work — coarse coefficient
+/// hierarchies, the packed prewarm and the tuned executors — is one
+/// tune::DynamicSolver built at construction (stencil coefficients never
+/// re-coarsen on the solve path), and the level hierarchy's scratch grids
+/// are preallocated into the engine's pool so the first request pays no
+/// allocation bursts.  All solve entry points are const and thread-safe
+/// (the underlying scheduler and scratch pool are concurrent); many
+/// client threads may solve through one session as long as each brings
+/// its own x/b grids.
 ///
 /// Sessions constructed without an operator bind the constant-coefficient
 /// Poisson operator — StencilOp's fast path — and execute bit-for-bit the
@@ -88,23 +89,35 @@ class SolveSession {
   /// counts (that delta is what bench/fig18_operator_families measures).
   SolveSession(Engine& engine, tune::TunedConfig config, grid::StencilOp op);
 
+  /// Binds `op` with a cross-family escalation ladder (nearest family
+  /// first, see tune::DynamicSolver).  The fixed-shape entry points below
+  /// run rung 0; solver() drives the whole ladder.  SolveService builds
+  /// its routed entries this way, sharing the configs instead of copying.
+  SolveSession(Engine& engine, std::vector<tune::FamilyConfig> ladder,
+               grid::StencilOp op);
+
   SolveSession(const SolveSession&) = delete;
   SolveSession& operator=(const SolveSession&) = delete;
 
-  int n() const { return n_; }
-  int level() const { return level_; }
+  int n() const { return solver_.n(); }
+  int level() const { return solver_.level(); }
   Engine& engine() const { return engine_; }
-  const tune::TunedConfig& config() const { return config_; }
+  const tune::TunedConfig& config() const { return solver_.config(); }
 
   /// The bound fine-grid operator (Poisson fast path for the int ctor).
-  const grid::StencilOp& op() const { return ops_.at(level_); }
+  const grid::StencilOp& op() const { return solver_.op(); }
 
   /// The prewarmed per-level operator ladder.
-  const grid::StencilHierarchy& operators() const { return ops_; }
+  const grid::StencilHierarchy& operators() const {
+    return solver_.operators();
+  }
+
+  /// The bound solver: hierarchies, executors, residual audit.
+  const tune::DynamicSolver& solver() const { return solver_; }
 
   /// Ladder index of the cheapest tuned accuracy >= target.
   int accuracy_index(double target_accuracy) const {
-    return config_.accuracy_index(target_accuracy);
+    return config().accuracy_index(target_accuracy);
   }
 
   /// Resident bytes this session pins for its lifetime: the coefficient
@@ -165,18 +178,19 @@ class SolveSession {
  private:
   SolveStats stats_for(double seconds, int accuracy_index, int iterations,
                        bool converged) const;
-  void check_operands(const Grid2D& x, const Grid2D& b) const;
-  /// ||b − A·x|| over the interior, on a pool-leased scratch grid.
-  double residual_norm(const Grid2D& x, const Grid2D& b) const;
+  /// One tuned fixed-shape solve on rung 0 (V or FMG), audited per
+  /// `check` outside the timed window.
+  SolveStats solve_tuned(Grid2D& x, const Grid2D& b, int accuracy_index,
+                         bool fmg, std::shared_ptr<obs::PhaseProfile> profile,
+                         const ResidualPolicy& check) const;
+  /// One reference V or FMG driver run on the bound hierarchy.
+  SolveStats solve_reference(Grid2D& x, const Grid2D& b, int max_cycles,
+                             const solvers::StopFn& stop,
+                             std::shared_ptr<obs::PhaseProfile> profile,
+                             bool fmg) const;
 
   Engine& engine_;
-  tune::TunedConfig config_;
-  int n_;
-  int level_;
-  grid::StencilHierarchy ops_;      // built before executor_, which binds it
-  grid::StencilHierarchy ops_rap_;  // Galerkin ladder; empty unless a tuned
-                                    // cell asks for rap coarsening
-  tune::TunedExecutor executor_;    // bound to config_ (stable: non-movable)
+  tune::DynamicSolver solver_;       // the bind-time work (non-movable)
   std::size_t footprint_bytes_ = 0;  // see footprint_bytes()
 };
 

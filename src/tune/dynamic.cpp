@@ -10,16 +10,13 @@
 
 namespace pbmg::tune {
 
-namespace {
-
-std::vector<FamilyConfig> single_rung(const TunedConfig& config) {
+std::vector<FamilyConfig> single_rung(TunedConfig config) {
+  std::string family = config.op_family;
   std::vector<FamilyConfig> ladder;
   ladder.push_back(
-      {config.op_family, std::make_shared<const TunedConfig>(config)});
+      {std::move(family), std::make_shared<const TunedConfig>(std::move(config))});
   return ladder;
 }
-
-}  // namespace
 
 DynamicSolver::DynamicSolver(grid::StencilOp op,
                              std::vector<FamilyConfig> ladder,
@@ -47,8 +44,7 @@ DynamicSolver::DynamicSolver(grid::StencilOp op,
                    " cannot solve level " + std::to_string(level_));
     any_rap = any_rap || config_uses_rap(*rung.config, level_);
   }
-  // Bind-time prewarm, mirroring SolveSession: coarsen the coefficient
-  // ladders once (the Galerkin ladder only if some bound config asks for
+  // Bind-time prewarm: coarsen the coefficient ladders once (the Galerkin ladder only if some bound config asks for
   // RAP cells), build one executor per family against the shared
   // hierarchies, and pack the SoA streams when the tuned kernel layout is
   // packed — so no solve() call ever pays setup inside its timed window.
@@ -66,6 +62,8 @@ DynamicSolver::DynamicSolver(grid::StencilOp op,
     ops_.prewarm_packed();
     if (ops_rap_.top_level() >= 1) ops_rap_.prewarm_packed();
   }
+  // Counted last, so the packed streams just materialized are included.
+  footprint_bytes_ = ops_.bytes() + ops_rap_.bytes();
 }
 
 DynamicSolver::DynamicSolver(const TunedConfig& config, grid::StencilOp op,
@@ -83,6 +81,11 @@ std::vector<std::string> DynamicSolver::families() const {
   return names;
 }
 
+void DynamicSolver::check_operands(const Grid2D& x, const Grid2D& b) const {
+  PBMG_CHECK(x.n() == n_ && b.n() == n_,
+             "operand size mismatch (bound to n=" + std::to_string(n_) + ")");
+}
+
 double DynamicSolver::residual_norm(const Grid2D& x, const Grid2D& b) const {
   auto lease = pool_.acquire(n_);
   grid::residual_op(op(), x, b, lease.get(), sched_, relax_.kernels);
@@ -95,9 +98,7 @@ DynamicResult DynamicSolver::solve(Grid2D& x, const Grid2D& b,
                                    obs::PhaseProfile* profile) const {
   PBMG_CHECK(target_reduction >= 1.0,
              "DynamicSolver: target_reduction must be >= 1");
-  PBMG_CHECK(x.n() == n_ && b.n() == n_,
-             "DynamicSolver: operand size mismatch (solver is bound to n=" +
-                 std::to_string(n_) + ")");
+  check_operands(x, b);
 
   DynamicResult result;
   result.final_family = ladder_.front().family;

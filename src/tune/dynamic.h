@@ -41,6 +41,11 @@
 ///    streams.  solve() touches none of it — two consecutive solves share
 ///    every prewarmed structure (dynamic_test pins this).
 ///
+/// DynamicSolver is the only object in the library that does this
+/// bind-time work: a pbmg::SolveSession is a one-rung DynamicSolver plus
+/// a scratch prewarm, and SolveService's routed operators are multi-rung
+/// sessions in the same cache.
+///
 /// Honest stats contract (PR 8): DynamicResult reports the executor's
 /// *real* per-variant iteration counts, times only the tuned-variant
 /// invocations (residual feedback norms run outside the timed window),
@@ -52,11 +57,15 @@ namespace pbmg::tune {
 /// One rung of the cross-family escalation ladder: a family name (stable
 /// grid/problem.h token, used in results and metrics labels) and its
 /// tuned tables.  The shared_ptr keeps the config alive for the solver's
-/// lifetime (service generations hand out aliased pointers).
+/// lifetime; service generations share their own standalone pointers, so
+/// a ladder never keeps a generation alive.
 struct FamilyConfig {
   std::string family;
   std::shared_ptr<const TunedConfig> config;
 };
+
+/// A one-rung ladder over `config`, named by its op_family provenance.
+std::vector<FamilyConfig> single_rung(TunedConfig config);
 
 /// One tuned-variant invocation of a dynamic solve, with the executor's
 /// real iteration count — the per-variant half of the honest-stats
@@ -98,17 +107,13 @@ class DynamicSolver {
   /// tunables select the packed kernel layout — solve() reuses all of it.
   DynamicSolver(grid::StencilOp op, std::vector<FamilyConfig> ladder,
                 rt::Scheduler& sched, solvers::DirectSolver& direct,
-                grid::ScratchPool& pool,
-                const solvers::RelaxTunables& relax =
-                    solvers::relax_tunables());
+                grid::ScratchPool& pool, const solvers::RelaxTunables& relax);
 
   /// Single-family convenience: the historical one-config binding (the
   /// config is copied; its op_family provenance names the ladder rung).
   DynamicSolver(const TunedConfig& config, grid::StencilOp op,
                 rt::Scheduler& sched, solvers::DirectSolver& direct,
-                grid::ScratchPool& pool,
-                const solvers::RelaxTunables& relax =
-                    solvers::relax_tunables());
+                grid::ScratchPool& pool, const solvers::RelaxTunables& relax);
 
   /// Not movable: the bound executors hold the hierarchies by address.
   DynamicSolver(const DynamicSolver&) = delete;
@@ -122,8 +127,26 @@ class DynamicSolver {
   const grid::StencilOp& op() const { return ops_.at(level_); }
   const grid::StencilHierarchy& operators() const { return ops_; }
 
+  /// The bound escalation ladder, nearest family first.
+  const std::vector<FamilyConfig>& ladder() const { return ladder_; }
+
   /// Family names of the bound escalation ladder, in escalation order.
   std::vector<std::string> families() const;
+
+  /// Rung 0's tuned tables and the executor bound to them: the fixed-shape
+  /// V/FMG/batch plans a SolveSession runs.
+  const TunedConfig& config() const { return *ladder_.front().config; }
+  const TunedExecutor& executor() const { return *executors_.front(); }
+
+  /// Resident bytes of the prewarmed coefficient ladders (averaged + RAP,
+  /// packed streams included), measured once at construction.
+  std::size_t footprint_bytes() const { return footprint_bytes_; }
+
+  /// Throws InvalidArgument unless x and b match the bound side.
+  void check_operands(const Grid2D& x, const Grid2D& b) const;
+
+  /// ||b − A·x|| over the interior, on a pool-leased scratch grid.
+  double residual_norm(const Grid2D& x, const Grid2D& b) const;
 
   /// Solves A·x = b until the residual norm has dropped by
   /// `target_reduction` (>= 1), invoking tuned variants at most
@@ -137,8 +160,6 @@ class DynamicSolver {
                       obs::PhaseProfile* profile = nullptr) const;
 
  private:
-  double residual_norm(const Grid2D& x, const Grid2D& b) const;
-
   int n_ = 0;
   int level_ = 0;
   std::vector<FamilyConfig> ladder_;
@@ -152,6 +173,7 @@ class DynamicSolver {
   /// One executor per ladder rung, bound once at construction to the
   /// shared hierarchies (TunedExecutor is non-movable).
   std::vector<std::unique_ptr<TunedExecutor>> executors_;
+  std::size_t footprint_bytes_ = 0;  // see footprint_bytes()
 };
 
 }  // namespace pbmg::tune

@@ -41,10 +41,9 @@ class TunedExecutor {
   /// pbmg::Engine's scheduler/direct/scratch trio).  The config, scheduler,
   /// direct solver and pool must outlive the executor.  `tracer` may be
   /// null; when set, every operation is recorded for cycle-shape
-  /// rendering.  `relax` is captured by value so concurrent executors on
-  /// different engines can run different searched weights; the default
-  /// reads the process-wide tunables once, preserving the historical
-  /// ScopedRelaxTunables behaviour for legacy callers.  `ops`, when
+  /// rendering.  `relax` (normally the engine's, engine.relax()) is
+  /// captured by value so concurrent executors on different engines can
+  /// run different searched weights.  `ops`, when
   /// non-null, is the averaged-coefficient operator hierarchy the tuned
   /// algorithms run against (it must outlive the executor and cover every
   /// level executed); null selects the constant-coefficient Poisson
@@ -58,9 +57,8 @@ class TunedExecutor {
   /// operator needed to build one is the caller's.
   TunedExecutor(const TunedConfig& config, rt::Scheduler& sched,
                 solvers::DirectSolver& direct, grid::ScratchPool& pool,
-                trace::CycleTracer* tracer = nullptr,
-                const solvers::RelaxTunables& relax =
-                    solvers::relax_tunables(),
+                trace::CycleTracer* tracer,
+                const solvers::RelaxTunables& relax,
                 const grid::StencilHierarchy* ops = nullptr,
                 const grid::StencilHierarchy* ops_rap = nullptr);
 

@@ -1,13 +1,15 @@
 // Fleet-serving suite: the byte-budgeted session cache (LRU eviction,
 // SessionRef pinning, retired-generation reclaim) and the batched
-// multi-RHS solve path.  Eviction must never destroy a pinned session,
-// an evicted size must rebind to bit-identical solves, solve_batch must
+// multi-RHS solve path.  The cache cases run on grid sizes and on routed
+// operators, which share the one cache.  Eviction must never destroy a
+// pinned session, an evicted entry must rebind to bit-identical solves, solve_batch must
 // bitwise-match K solo solves under any thread count, and binds /
 // batches / installs / trims must be race-free under concurrent clients
 // (this suite runs under TSan and UBSan in CI).
 
 #include <atomic>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -17,6 +19,7 @@
 
 #include "engine/solve_service.h"
 #include "grid/level.h"
+#include "grid/problem.h"
 #include "support/rng.h"
 #include "tune/accuracy.h"
 #include "tune/trainer.h"
@@ -53,57 +56,117 @@ bool bitwise_equal(const Grid2D& a, const Grid2D& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-/// Footprint of one bound session of side `n` under the trained config,
-/// measured on a throwaway unlimited service.
-std::size_t session_footprint(int n) {
-  SolveService probe(engine(), trained());
-  return probe.session(n)->footprint_bytes();
+/// What a cache case binds: the generation's own family operator per grid
+/// size (solve, session(n)), or a routed operator per identity × size
+/// (solve_op, session(op)).  Both live in the one session cache, so every
+/// eviction case runs on both inputs.
+enum class Input { kSizes, kRouted };
+
+std::string input_name(const ::testing::TestParamInfo<Input>& info) {
+  return info.param == Input::kSizes ? "Sizes" : "Routed";
 }
+
+/// One cache entry per level: for kSizes the session of that side, for
+/// kRouted a jump-coefficient operator of that side (served by the
+/// Poisson-tuned tables as a stand-in), built once per fixture so
+/// re-touching a level hits the same identity.
+class FleetCache : public ::testing::TestWithParam<Input> {
+ protected:
+  const grid::StencilOp& op(int level) {
+    auto it = ops_.find(level);
+    if (it == ops_.end()) {
+      it = ops_.emplace(level, make_operator(size_of_level(level),
+                                             OperatorFamily::kJumpCoefficient))
+               .first;
+    }
+    return it->second;
+  }
+
+  /// Pins the level's entry (binding it on first use).
+  SessionRef pin(SolveService& service, int level) {
+    return GetParam() == Input::kSizes ? service.session(size_of_level(level))
+                                       : service.session(op(level));
+  }
+
+  /// Binds or touches the level's entry the way requests do: session(n)
+  /// for sizes, a solve_op for routed operators (an exact zero problem,
+  /// so the solve itself does no work).
+  void touch(SolveService& service, int level) {
+    if (GetParam() == Input::kSizes) {
+      service.session(size_of_level(level));
+      return;
+    }
+    const int n = size_of_level(level);
+    Grid2D x(n, 0.0);
+    const Grid2D b(n, 0.0);
+    SolveRequest request;
+    request.accuracy_index = 0;
+    service.solve_op(op(level), x, b, request);
+  }
+
+  /// Solves `problem` through the level's entry.
+  void solve(SolveService& service, int level, Grid2D& x,
+             const PoissonProblem& problem, const SolveRequest& request) {
+    if (GetParam() == Input::kSizes) {
+      service.solve(x, problem.b, request);
+    } else {
+      service.solve_op(op(level), x, problem.b, request);
+    }
+  }
+
+  /// Footprint of one bound entry of the level under the trained config,
+  /// measured on a throwaway unlimited service.
+  std::size_t footprint(int level) {
+    SolveService probe(engine(), trained());
+    return pin(probe, level)->footprint_bytes();
+  }
+
+ private:
+  std::map<int, grid::StencilOp> ops_;
+};
 
 // ---------------------------------------------------------- eviction --
 
-TEST(FleetCache, ByteBudgetBoundsResidentSessions) {
-  const std::size_t biggest = session_footprint(size_of_level(kMaxLevel));
+TEST_P(FleetCache, ByteBudgetBoundsResidentSessions) {
+  const std::size_t biggest = footprint(kMaxLevel);
   ServicePolicy policy;
   policy.max_session_bytes = biggest + biggest / 10;  // room for one big only
   SolveService service(engine(), trained(), policy);
-  // Bind every size, largest last; unpinned smaller sessions must be
+  // Bind every level, largest last; unpinned smaller entries must be
   // evicted to keep the resident bytes bounded.
-  for (int level = 2; level <= kMaxLevel; ++level) {
-    service.session(size_of_level(level));
-  }
+  for (int level = 2; level <= kMaxLevel; ++level) touch(service, level);
   const ServiceStats stats = service.stats();
   EXPECT_GT(stats.evictions, 0);
   EXPECT_LE(stats.session_bytes, policy.max_session_bytes);
   EXPECT_LT(stats.sessions, static_cast<std::size_t>(kMaxLevel - 1));
 }
 
-TEST(FleetCache, SessionCountCapEvictsLeastRecentlyUsed) {
+TEST_P(FleetCache, SessionCountCapEvictsLeastRecentlyUsed) {
   ServicePolicy policy;
   policy.max_sessions = 2;
   SolveService service(engine(), trained(), policy);
-  service.session(size_of_level(2));
-  service.session(size_of_level(3));
+  touch(service, 2);
+  touch(service, 3);
   // Touch level 2 so level 3 is the LRU victim when level 4 binds.
-  service.session(size_of_level(2));
-  service.session(size_of_level(4));
+  touch(service, 2);
+  touch(service, 4);
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.sessions, 2u);
   EXPECT_EQ(stats.evictions, 1);
   // The victim must have been level 3 (stale), not the just-touched
   // level 2 (which a key-ordered sweep would have picked first): level 2
   // is still cached, so re-binding it inserts nothing and evicts nothing.
-  service.session(size_of_level(2));
+  touch(service, 2);
   EXPECT_EQ(service.stats().sessions, 2u);
   EXPECT_EQ(service.stats().evictions, 1);
 }
 
-TEST(FleetCache, PinnedSessionsAreNeverEvicted) {
+TEST_P(FleetCache, PinnedSessionsAreNeverEvicted) {
   ServicePolicy policy;
   policy.max_sessions = 1;
   SolveService service(engine(), trained(), policy);
-  SessionRef small = service.session(size_of_level(2));
-  SessionRef mid = service.session(size_of_level(3));
+  SessionRef small = pin(service, 2);
+  SessionRef mid = pin(service, 3);
   // Both pinned: the cap is unenforceable and the cache must prefer
   // overshooting the budget to destroying a session in use.
   EXPECT_EQ(service.stats().sessions, 2u);
@@ -113,12 +176,12 @@ TEST(FleetCache, PinnedSessionsAreNeverEvicted) {
   // Dropping one pin makes it evictable; the next bind drains the cache
   // back toward the cap and the still-pinned session survives.
   small = SessionRef();
-  const SessionRef big = service.session(size_of_level(4));
+  const SessionRef big = pin(service, 4);
   EXPECT_GT(service.stats().evictions, 0);
   EXPECT_EQ(mid->n(), size_of_level(3));  // pinned ⇒ alive and usable
 }
 
-TEST(FleetCache, EvictedSizeRebindsToBitIdenticalSolves) {
+TEST_P(FleetCache, EvictedSizeRebindsToBitIdenticalSolves) {
   ServicePolicy policy;
   policy.max_sessions = 1;
   SolveService service(engine(), trained(), policy);
@@ -129,16 +192,20 @@ TEST(FleetCache, EvictedSizeRebindsToBitIdenticalSolves) {
   request.accuracy_index = trained().accuracy_count() - 1;
   Grid2D first(n, 0.0);
   first.copy_from(problem.x0);
-  service.solve(first, problem.b, request);
-  // Evict the size by binding another, then rebind: the fresh session
+  solve(service, 3, first, problem, request);
+  // Evict the entry by binding another, then rebind: the fresh session
   // must reproduce the retired one's arithmetic exactly.
-  service.session(size_of_level(4));
+  touch(service, 4);
   ASSERT_GT(service.stats().evictions, 0);
   Grid2D second(n, 0.0);
   second.copy_from(problem.x0);
-  service.solve(second, problem.b, request);
+  solve(service, 3, second, problem, request);
   EXPECT_TRUE(bitwise_equal(first, second));
 }
+
+INSTANTIATE_TEST_SUITE_P(Inputs, FleetCache,
+                         ::testing::Values(Input::kSizes, Input::kRouted),
+                         input_name);
 
 // ------------------------------------------------------ batched solves --
 

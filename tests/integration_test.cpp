@@ -79,9 +79,9 @@ TEST_P(DistributionPipeline, TrainSaveLoadSolveMeetsContract) {
     x1.copy_from(inst.problem.x0);
     x2.copy_from(inst.problem.x0);
     tune::TunedExecutor e1(trained, sched(), engine().direct(),
-                           engine().scratch(), &t1);
+                           engine().scratch(), &t1, engine().relax());
     tune::TunedExecutor e2(loaded, sched(), engine().direct(),
-                           engine().scratch(), &t2);
+                           engine().scratch(), &t2, engine().relax());
     e1.run_v(x1, inst.problem.b, i);
     e2.run_v(x2, inst.problem.b, i);
     ASSERT_EQ(t1.events().size(), t2.events().size());
@@ -108,7 +108,8 @@ TEST(Integration, TunedConfigRunsUnderDifferentProfile) {
   auto inst = tune::make_training_instance(n, InputDistribution::kUnbiased,
                                            rng, serial);
   tune::TunedExecutor executor(config, serial, serial_engine.direct(),
-                               serial_engine.scratch());
+                               serial_engine.scratch(), nullptr,
+                               serial_engine.relax());
   Grid2D x(n, 0.0);
   x.copy_from(inst.problem.x0);
   executor.run_v(x, inst.problem.b, config.accuracy_count() - 1);
@@ -189,7 +190,7 @@ TEST(Integration, TracedShapeMatchesTableIterations) {
   }
   trace::CycleTracer tracer;
   tune::TunedExecutor executor(config, sched(), engine().direct(),
-                               engine().scratch(), &tracer);
+                               engine().scratch(), &tracer, engine().relax());
   const int n = size_of_level(5);
   Rng rng(555);
   auto problem = make_problem(n, InputDistribution::kUnbiased, rng);
@@ -218,7 +219,7 @@ TEST(Integration, AccuracyLaddersOtherThanPaperDefaultWork) {
   auto inst = tune::make_training_instance(n, InputDistribution::kUnbiased,
                                            rng, sched());
   tune::TunedExecutor executor(config, sched(), engine().direct(),
-                               engine().scratch());
+                               engine().scratch(), nullptr, engine().relax());
   for (int i = 0; i < 3; ++i) {
     Grid2D x(n, 0.0);
     x.copy_from(inst.problem.x0);

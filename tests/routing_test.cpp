@@ -5,14 +5,18 @@
 // via the nearest stand-in, fire exactly one background family retune,
 // and reroute post-install with zero bit-divergence on untouched routes.
 // The service test hammers solve_op from several threads while the
-// retune + install_family race the binding cache — it runs under TSan in
-// CI alongside drift_test.
+// retune + install_family race the session cache — it runs under TSan in
+// CI alongside drift_test.  Routed sessions must not keep their service's
+// generation alive, and install() must carry family extensions forward.
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <new>
 #include <numbers>
 #include <string>
 #include <thread>
@@ -26,6 +30,64 @@
 #include "grid/problem.h"
 #include "support/rng.h"
 #include "tune/table.h"
+
+// Live heap bytes allocated through the global operator new: the
+// deterministic observable behind the generation-leak regression below.
+// Each block carries its size in a header so unsized deletes can subtract
+// it.  Every non-aligned form is replaced, so no block can cross between
+// this allocator and a sanitizer runtime's; over-aligned new/delete keep
+// the defaults and are not counted, consistently on both sides.
+namespace {
+constexpr std::size_t kHeapHeader = alignof(std::max_align_t);
+std::atomic<std::int64_t> live_heap_bytes{0};
+
+void* counted_new(std::size_t size) noexcept {
+  void* raw = std::malloc(size + kHeapHeader);
+  if (raw == nullptr) return nullptr;
+  *static_cast<std::size_t*>(raw) = size;
+  live_heap_bytes.fetch_add(static_cast<std::int64_t>(size),
+                            std::memory_order_relaxed);
+  return static_cast<char*>(raw) + kHeapHeader;
+}
+
+void counted_delete(void* block) noexcept {
+  if (block == nullptr) return;
+  void* raw = static_cast<char*>(block) - kHeapHeader;
+  live_heap_bytes.fetch_sub(
+      static_cast<std::int64_t>(*static_cast<std::size_t*>(raw)),
+      std::memory_order_relaxed);
+  std::free(raw);
+}
+
+void* counted_new_or_throw(std::size_t size) {
+  void* block = counted_new(size);
+  if (block == nullptr) throw std::bad_alloc();
+  return block;
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_new_or_throw(size); }
+void* operator new[](std::size_t size) { return counted_new_or_throw(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_new(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_new(size);
+}
+void operator delete(void* block) noexcept { counted_delete(block); }
+void operator delete[](void* block) noexcept { counted_delete(block); }
+void operator delete(void* block, std::size_t) noexcept {
+  counted_delete(block);
+}
+void operator delete[](void* block, std::size_t) noexcept {
+  counted_delete(block);
+}
+void operator delete(void* block, const std::nothrow_t&) noexcept {
+  counted_delete(block);
+}
+void operator delete[](void* block, const std::nothrow_t&) noexcept {
+  counted_delete(block);
+}
 
 namespace pbmg {
 namespace {
@@ -180,7 +242,7 @@ TEST(OperatorRouting, NovelFamilyServesRetunesOnceAndReroutes) {
   EXPECT_EQ(first.generation, 1);
 
   // Hammer the never-trained jump family from several threads while the
-  // background retune and its install_family race the binding cache
+  // background retune and its install_family race the session cache
   // (this is the TSan-raced half of the acceptance criterion).  Every
   // request must complete and converge — served by the poisson stand-in
   // before the install, by the fresh jump tables after.
@@ -299,6 +361,84 @@ TEST(OperatorRouting, AccuracyIndexSelectsServedLadderTarget) {
                                             problem.b, request, &detail);
   EXPECT_TRUE(stats.converged);
   EXPECT_GE(detail.residual_reduction, 1e5);
+}
+
+TEST(OperatorRouting, DestroyedServiceReleasesItsGeneration) {
+  // A routed session served by the construction config must not pin the
+  // generation that owns it: destroying the service has to free the whole
+  // generation — config, sessions, hierarchies.  A serial engine keeps the
+  // heap deterministic: after one warm-up round (pool grids, static
+  // fingerprint tables), every further round must return the live heap
+  // bytes to exactly where they started.
+  const int level = 5;
+  const int n = size_of_level(level);
+  Engine serial(rt::serial_profile());
+  const tune::TunedConfig config =
+      handmade(level, "poisson", grid::Coarsening::kAverage);
+  const grid::StencilOp jump =
+      make_operator(n, OperatorFamily::kJumpCoefficient);
+  Rng rng(13);
+  const PoissonProblem problem =
+      make_problem(n, InputDistribution::kUnbiased, rng);
+  SolveRequest request;
+  request.target_accuracy = 10.0;
+  const auto round = [&] {
+    SolveService service(serial, config);
+    Grid2D x = problem.x0;
+    tune::DynamicResult detail;
+    service.solve_op(jump, x, problem.b, request, &detail);
+    // Served by the construction config, standing in for the nearest
+    // (untrained) jump family.
+    EXPECT_EQ(detail.final_family, "poisson");
+  };
+  round();
+  const std::int64_t before = live_heap_bytes.load();
+  for (int i = 0; i < 4; ++i) round();
+  EXPECT_EQ(live_heap_bytes.load() - before, 0)
+      << "each destroyed service leaked its generation";
+}
+
+TEST(OperatorRouting, InstallKeepsFamilyExtensions) {
+  // A drift install() builds a fresh generation; the families installed
+  // on the old one must carry over, or routed traffic silently falls back
+  // to a stand-in for good (the once-per-family retune guard never
+  // retrains them).
+  const int level = 4;
+  const int n = size_of_level(level);
+  SolveService service(
+      engine(), handmade(level, "poisson", grid::Coarsening::kAverage));
+  std::atomic<int> retunes{0};
+  service.enable_operator_routing(
+      RoutePolicy{}, [&](OperatorFamily family) {
+        retunes.fetch_add(1, std::memory_order_relaxed);
+        return handmade(level, to_string(family), grid::Coarsening::kRap);
+      });
+  service.install_family(handmade(level, "jump", grid::Coarsening::kRap));
+  service.install(handmade(level, "poisson", grid::Coarsening::kAverage));
+  ASSERT_EQ(service.generation(), 2);
+
+  Rng rng(17);
+  const PoissonProblem problem =
+      make_problem(n, InputDistribution::kUnbiased, rng);
+  const grid::StencilOp jump =
+      make_operator(n, OperatorFamily::kJumpCoefficient);
+  SolveRequest request;
+  request.target_accuracy = 10.0;
+  Grid2D x = problem.x0;
+  tune::DynamicResult detail;
+  const SolveStats stats =
+      service.solve_op(jump, x, problem.b, request, &detail);
+  EXPECT_TRUE(stats.converged);
+  EXPECT_EQ(stats.generation, 2);
+  ASSERT_FALSE(detail.variants.empty());
+  EXPECT_EQ(detail.variants.front().family, "jump");
+  EXPECT_EQ(detail.final_family, "jump");
+  const auto snapshot = service.metrics_snapshot();
+  EXPECT_EQ(snapshot.counters.at(
+                "pbmg_route_total{family=\"jump\",outcome=\"matched\"}"),
+            1);
+  EXPECT_EQ(retunes.load(), 0);
+  EXPECT_EQ(service.stats().family_retunes, 0);
 }
 
 }  // namespace

@@ -278,6 +278,32 @@ TEST(SolveService, MetricsSnapshotCountsEveryRequestPerSizeAndAccuracy) {
       after.counters.at("pbmg_solve_requests_total{outcome=\"error\"}"), 1);
   EXPECT_EQ(after.histograms.at("pbmg_solve_failure_seconds").count, 1);
   EXPECT_EQ(after.histograms.at(small_series).count, solves_small);
+
+  // A routed solve goes through the same accounting path: it reaches the
+  // outcome counters and the per-(n, acc) latency histogram (keyed by the
+  // ladder index the dynamic solve ended on) like every other request.
+  const int n = size_of_level(3);
+  auto problem = make_problem(n, InputDistribution::kUnbiased, rng);
+  Grid2D routed_x(n, 0.0);
+  routed_x.copy_from(problem.x0);
+  SolveRequest routed;
+  routed.accuracy_index = 0;
+  const SolveStats stats = service.solve_op(grid::StencilOp::poisson(n),
+                                            routed_x, problem.b, routed);
+  ASSERT_TRUE(stats.converged);
+  const std::string routed_series =
+      "pbmg_solve_latency_seconds{n=\"" + std::to_string(n) + "\",acc=\"" +
+      std::to_string(stats.accuracy_index) + "\"}";
+  const std::int64_t routed_before =
+      after.histograms.count(routed_series)
+          ? after.histograms.at(routed_series).count
+          : 0;
+  const obs::RegistrySnapshot last = service.metrics_snapshot();
+  EXPECT_EQ(last.counters.at("pbmg_solve_requests_total{outcome=\"ok\"}"),
+            solves_small + solves_big + 1);
+  EXPECT_EQ(last.histograms.at(routed_series).count, routed_before + 1);
+  EXPECT_EQ(service.stats().requests, solves_small + solves_big + 1);
+  EXPECT_EQ(service.stats().routed_requests, 1);
 }
 
 TEST(SolveService, UnconvergedSolvesLandInFailureHistogramNotHealthy) {

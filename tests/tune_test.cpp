@@ -264,7 +264,7 @@ TEST(Trainer, TunedVMeetsAccuracyOnHeldOutInputs) {
   // raced by default); a bare executor builds the Poisson RAP ladder for
   // each executed top level on demand.
   TunedExecutor executor(config, sched(), engine().direct(),
-                         engine().scratch());
+                         engine().scratch(), nullptr, engine().relax());
   Rng rng(990001);
   for (int level = 2; level <= config.max_level(); ++level) {
     const int n = size_of_level(level);
@@ -287,7 +287,7 @@ TEST(Trainer, TunedVMeetsAccuracyOnHeldOutInputs) {
 TEST(Trainer, TunedFmgMeetsAccuracyOnHeldOutInputs) {
   const TunedConfig& config = trained();
   TunedExecutor executor(config, sched(), engine().direct(),
-                         engine().scratch());
+                         engine().scratch(), nullptr, engine().relax());
   Rng rng(990002);
   for (int level = 2; level <= config.max_level(); ++level) {
     const int n = size_of_level(level);
@@ -323,7 +323,7 @@ TEST(Trainer, HeuristicRestrictsChoices) {
   }
   // The heuristic still meets the top accuracy on held-out data.
   TunedExecutor executor(config, sched(), engine().direct(),
-                         engine().scratch());
+                         engine().scratch(), nullptr, engine().relax());
   Rng rng(990003);
   auto inst = make_training_instance(size_of_level(config.max_level()),
                                      InputDistribution::kUnbiased, rng,
@@ -434,13 +434,13 @@ TEST(Executor, RunsFixedShapesIndependentOfInput) {
   trace::CycleTracer t1, t2;
   {
     TunedExecutor executor(config, sched(), engine().direct(),
-                           engine().scratch(), &t1);
+                           engine().scratch(), &t1, engine().relax());
     Grid2D x = p1.x0;
     executor.run_v(x, p1.b, 3);
   }
   {
     TunedExecutor executor(config, sched(), engine().direct(),
-                           engine().scratch(), &t2);
+                           engine().scratch(), &t2, engine().relax());
     Grid2D x = p2.x0;
     executor.run_v(x, p2.b, 3);
   }
@@ -456,7 +456,7 @@ TEST(Executor, TraceRendersACycle) {
   const TunedConfig& config = trained();
   trace::CycleTracer tracer;
   TunedExecutor executor(config, sched(), engine().direct(),
-                           engine().scratch(), &tracer);
+                         engine().scratch(), &tracer, engine().relax());
   Rng rng(424242);
   const int n = size_of_level(config.max_level());
   auto p = make_problem(n, InputDistribution::kUnbiased, rng);
@@ -470,7 +470,7 @@ TEST(Executor, TraceRendersACycle) {
 TEST(Executor, RejectsUntrainedCellsAndBadSizes) {
   TunedConfig config(paper_accuracies(), 4);  // untrained above level 1
   TunedExecutor executor(config, sched(), engine().direct(),
-                         engine().scratch());
+                         engine().scratch(), nullptr, engine().relax());
   Grid2D x(17, 0.0), b(17, 0.0);
   EXPECT_THROW(executor.run_v(x, b, 0), InvalidArgument);
   Grid2D small(3, 0.0), wrong(5, 0.0);
