@@ -3,6 +3,16 @@
 // operators, norms, banded Cholesky, the spectral oracle, whole V-cycles,
 // and runtime primitives.  These quantify the per-operation costs the
 // autotuner trades off.
+//
+// Every benchmark reports wall time (UseRealTime): on a multi-worker
+// engine the kernels run on scheduler workers, so the main thread's CPU
+// time misses most of the work.  The per-kernel timings (SOR, residual, the profiling pair and
+// the packed-vs-legacy pairs) run on a single-worker engine so they
+// measure the kernel, not the host's load.  To compare two builds, run
+// e.g.
+//   micro_kernels --benchmark_filter='BM_(SorSweep|Residual|Stencil)'
+//       --benchmark_repetitions=5 --benchmark_min_time=0.2
+// alternately on each and compare medians against the spread.
 
 #include <benchmark/benchmark.h>
 
@@ -25,9 +35,19 @@ namespace {
 
 using namespace pbmg;
 
-/// One engine shared by every microbenchmark (default machine profile).
+/// One engine shared by the microbenchmarks that time the default
+/// (parallel) machine profile.
 Engine& bench_engine() {
   static Engine instance;
+  return instance;
+}
+
+/// One single-worker engine for the per-kernel timings.  On a loaded
+/// 4-vCPU host the same Poisson SOR sweep at N=513 timed anywhere from
+/// 0.37 ms to 10.6 ms wall on a 4-worker engine — a spread that hides
+/// any kernel-level change.
+Engine& serial_engine() {
+  static Engine instance(rt::serial_profile());
   return instance;
 }
 
@@ -40,14 +60,14 @@ void BM_SorSweep(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   auto problem = problem_for(n);
   Grid2D x = problem.x0;
-  auto& sched = bench_engine().scheduler();
+  auto& sched = serial_engine().scheduler();
   const double omega = solvers::omega_opt(n);
   for (auto _ : state) {
     solvers::sor_sweep(x, problem.b, omega, sched);
   }
   state.SetItemsProcessed(state.iterations() * (n - 2) * (n - 2));
 }
-BENCHMARK(BM_SorSweep)->Arg(65)->Arg(257)->Arg(1025);
+BENCHMARK(BM_SorSweep)->UseRealTime()->Arg(65)->Arg(129)->Arg(257)->Arg(1025);
 
 void BM_JacobiSweep(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -60,20 +80,20 @@ void BM_JacobiSweep(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * (n - 2) * (n - 2));
 }
-BENCHMARK(BM_JacobiSweep)->Arg(257)->Arg(1025);
+BENCHMARK(BM_JacobiSweep)->UseRealTime()->Arg(257)->Arg(1025);
 
 void BM_Residual(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   auto problem = problem_for(n);
   Grid2D x = problem.x0;
   Grid2D r(n, 0.0);
-  auto& sched = bench_engine().scheduler();
+  auto& sched = serial_engine().scheduler();
   for (auto _ : state) {
     grid::residual(x, problem.b, r, sched);
   }
   state.SetItemsProcessed(state.iterations() * (n - 2) * (n - 2));
 }
-BENCHMARK(BM_Residual)->Arg(257)->Arg(1025);
+BENCHMARK(BM_Residual)->UseRealTime()->Arg(65)->Arg(129)->Arg(257)->Arg(1025);
 
 void BM_Restrict(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -84,7 +104,7 @@ void BM_Restrict(benchmark::State& state) {
     grid::restrict_full_weighting(problem.b, coarse, sched);
   }
 }
-BENCHMARK(BM_Restrict)->Arg(257)->Arg(1025);
+BENCHMARK(BM_Restrict)->UseRealTime()->Arg(257)->Arg(1025);
 
 void BM_Interpolate(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -95,7 +115,7 @@ void BM_Interpolate(benchmark::State& state) {
     grid::interpolate_add(coarse, fine, sched);
   }
 }
-BENCHMARK(BM_Interpolate)->Arg(257)->Arg(1025);
+BENCHMARK(BM_Interpolate)->UseRealTime()->Arg(257)->Arg(1025);
 
 void BM_Norm2(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -107,7 +127,7 @@ void BM_Norm2(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(sink);
 }
-BENCHMARK(BM_Norm2)->Arg(257)->Arg(1025);
+BENCHMARK(BM_Norm2)->UseRealTime()->Arg(257)->Arg(1025);
 
 void BM_BandCholeskyFactor(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -117,7 +137,7 @@ void BM_BandCholeskyFactor(benchmark::State& state) {
     benchmark::DoNotOptimize(a.band(0, 0));
   }
 }
-BENCHMARK(BM_BandCholeskyFactor)->Arg(33)->Arg(65)->Arg(129);
+BENCHMARK(BM_BandCholeskyFactor)->UseRealTime()->Arg(33)->Arg(65)->Arg(129);
 
 void BM_DirectSolveCachedFactor(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -129,7 +149,7 @@ void BM_DirectSolveCachedFactor(benchmark::State& state) {
     cached.solve(problem.b, x);
   }
 }
-BENCHMARK(BM_DirectSolveCachedFactor)->Arg(65)->Arg(129);
+BENCHMARK(BM_DirectSolveCachedFactor)->UseRealTime()->Arg(65)->Arg(129);
 
 void BM_FastPoissonOracle(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -141,7 +161,7 @@ void BM_FastPoissonOracle(benchmark::State& state) {
     solver.solve(problem.b, problem.x0, out, sched);
   }
 }
-BENCHMARK(BM_FastPoissonOracle)->Arg(257)->Arg(1025);
+BENCHMARK(BM_FastPoissonOracle)->UseRealTime()->Arg(257)->Arg(1025);
 
 void BM_VCycle(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -155,7 +175,7 @@ void BM_VCycle(benchmark::State& state) {
                     pool);
   }
 }
-BENCHMARK(BM_VCycle)->Arg(257)->Arg(1025);
+BENCHMARK(BM_VCycle)->UseRealTime()->Arg(257)->Arg(1025);
 
 // Profiling-overhead pair: identical V-cycles with the obs::PhaseProfile
 // hook disabled (null sink — the production default) versus enabled.  CI
@@ -166,23 +186,23 @@ void BM_VCycleProfilingOff(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   auto problem = problem_for(n);
   Grid2D x = problem.x0;
-  auto& sched = bench_engine().scheduler();
-  auto& direct = bench_engine().direct();
-  auto& pool = bench_engine().scratch();
+  auto& sched = serial_engine().scheduler();
+  auto& direct = serial_engine().direct();
+  auto& pool = serial_engine().scratch();
   solvers::VCycleOptions options;  // options.profile == nullptr
   for (auto _ : state) {
     solvers::vcycle(x, problem.b, options, sched, direct, pool);
   }
 }
-BENCHMARK(BM_VCycleProfilingOff)->Arg(257);
+BENCHMARK(BM_VCycleProfilingOff)->UseRealTime()->Arg(257);
 
 void BM_VCycleProfilingOn(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   auto problem = problem_for(n);
   Grid2D x = problem.x0;
-  auto& sched = bench_engine().scheduler();
-  auto& direct = bench_engine().direct();
-  auto& pool = bench_engine().scratch();
+  auto& sched = serial_engine().scheduler();
+  auto& direct = serial_engine().direct();
+  auto& pool = serial_engine().scratch();
   obs::PhaseProfile profile;
   solvers::VCycleOptions options;
   options.profile = &profile;
@@ -191,7 +211,7 @@ void BM_VCycleProfilingOn(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(profile.total_seconds());
 }
-BENCHMARK(BM_VCycleProfilingOn)->Arg(257);
+BENCHMARK(BM_VCycleProfilingOn)->UseRealTime()->Arg(257);
 
 // ----------------------------------------------- packed-vs-legacy pairs --
 // The ISSUE-7 tentpole's accounting: each pair runs the identical sweep
@@ -221,7 +241,7 @@ void stencil_residual_bench(benchmark::State& state,
   auto problem = problem_for(n);
   Grid2D x = problem.x0;
   Grid2D r(n, 0.0);
-  auto& sched = bench_engine().scheduler();
+  auto& sched = serial_engine().scheduler();
   for (auto _ : state) {
     grid::residual_op(op, x, problem.b, r, sched, policy);
   }
@@ -231,12 +251,14 @@ void stencil_residual_bench(benchmark::State& state,
 void BM_StencilResidualLegacy(benchmark::State& state) {
   stencil_residual_bench(state, grid::KernelPolicy{});
 }
-BENCHMARK(BM_StencilResidualLegacy)->Arg(129)->Arg(513)->Arg(1025);
+BENCHMARK(BM_StencilResidualLegacy)
+    ->UseRealTime()->Arg(129)->Arg(513)->Arg(1025);
 
 void BM_StencilResidualPacked(benchmark::State& state) {
   stencil_residual_bench(state, packed_policy());
 }
-BENCHMARK(BM_StencilResidualPacked)->Arg(129)->Arg(513)->Arg(1025);
+BENCHMARK(BM_StencilResidualPacked)
+    ->UseRealTime()->Arg(129)->Arg(513)->Arg(1025);
 
 void stencil_sor_bench(benchmark::State& state,
                        const grid::KernelPolicy& policy) {
@@ -245,7 +267,7 @@ void stencil_sor_bench(benchmark::State& state,
   op.packed();
   auto problem = problem_for(n);
   Grid2D x = problem.x0;
-  auto& sched = bench_engine().scheduler();
+  auto& sched = serial_engine().scheduler();
   for (auto _ : state) {
     solvers::sor_sweep(op, x, problem.b, solvers::kRecurseOmega, sched,
                        policy);
@@ -256,12 +278,12 @@ void stencil_sor_bench(benchmark::State& state,
 void BM_StencilSorLegacy(benchmark::State& state) {
   stencil_sor_bench(state, grid::KernelPolicy{});
 }
-BENCHMARK(BM_StencilSorLegacy)->Arg(129)->Arg(513)->Arg(1025);
+BENCHMARK(BM_StencilSorLegacy)->UseRealTime()->Arg(129)->Arg(513)->Arg(1025);
 
 void BM_StencilSorPacked(benchmark::State& state) {
   stencil_sor_bench(state, packed_policy());
 }
-BENCHMARK(BM_StencilSorPacked)->Arg(129)->Arg(513)->Arg(1025);
+BENCHMARK(BM_StencilSorPacked)->UseRealTime()->Arg(129)->Arg(513)->Arg(1025);
 
 void stencil_zebra_bench(benchmark::State& state,
                          const grid::KernelPolicy& policy) {
@@ -270,8 +292,8 @@ void stencil_zebra_bench(benchmark::State& state,
   op.packed();
   auto problem = problem_for(n);
   Grid2D x = problem.x0;
-  auto& sched = bench_engine().scheduler();
-  auto& pool = bench_engine().scratch();
+  auto& sched = serial_engine().scheduler();
+  auto& pool = serial_engine().scratch();
   for (auto _ : state) {
     solvers::line_relax_sweep(op, x, problem.b,
                               solvers::RelaxKind::kLineZebraAlt, sched, pool,
@@ -283,12 +305,12 @@ void stencil_zebra_bench(benchmark::State& state,
 void BM_StencilZebraLegacy(benchmark::State& state) {
   stencil_zebra_bench(state, grid::KernelPolicy{});
 }
-BENCHMARK(BM_StencilZebraLegacy)->Arg(129)->Arg(513)->Arg(1025);
+BENCHMARK(BM_StencilZebraLegacy)->UseRealTime()->Arg(129)->Arg(513)->Arg(1025);
 
 void BM_StencilZebraPacked(benchmark::State& state) {
   stencil_zebra_bench(state, packed_policy());
 }
-BENCHMARK(BM_StencilZebraPacked)->Arg(129)->Arg(513)->Arg(1025);
+BENCHMARK(BM_StencilZebraPacked)->UseRealTime()->Arg(129)->Arg(513)->Arg(1025);
 
 void BM_ParallelForOverhead(benchmark::State& state) {
   auto& sched = bench_engine().scheduler();
@@ -300,7 +322,7 @@ void BM_ParallelForOverhead(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(sink.load());
 }
-BENCHMARK(BM_ParallelForOverhead);
+BENCHMARK(BM_ParallelForOverhead)->UseRealTime();
 
 }  // namespace
 

@@ -5,6 +5,7 @@
 
 #include "grid/level.h"
 #include "grid/packed_kernels.h"
+#include "grid/row_sweep.h"
 
 namespace pbmg::grid {
 
@@ -19,342 +20,154 @@ void check_valid(const Grid2D& g, const char* what) {
              std::string(what) + ": grid size must be 2^k + 1");
 }
 
-void zero_boundary(Grid2D& g) {
-  const int n = g.n();
-  for (int j = 0; j < n; ++j) {
-    g(0, j) = 0.0;
-    g(n - 1, j) = 0.0;
+/// Validates one stencil sweep over K slots: equal span sizes (bs empty
+/// for apply), no null slots, every grid valid and matching op.n().
+void check_slots(const StencilOp& op, std::span<const Grid2D* const> xs,
+                 std::span<const Grid2D* const> bs,
+                 std::span<Grid2D* const> outs, const char* what) {
+  PBMG_CHECK(xs.size() == outs.size() &&
+                 (bs.empty() || bs.size() == xs.size()),
+             std::string(what) + ": span size mismatch");
+  if (xs.empty()) return;
+  PBMG_CHECK(is_valid_grid_size(op.n()),
+             std::string(what) + ": grid size must be 2^k + 1");
+  for (std::size_t k = 0; k < xs.size(); ++k) {
+    PBMG_CHECK(xs[k] != nullptr && outs[k] != nullptr &&
+                   (bs.empty() || bs[k] != nullptr),
+               std::string(what) + ": null grid slot");
+    PBMG_CHECK(xs[k]->n() == op.n() && outs[k]->n() == op.n() &&
+                   (bs.empty() || bs[k]->n() == op.n()),
+               std::string(what) + ": operator/grid size mismatch");
   }
-  for (int i = 0; i < n; ++i) {
-    g(i, 0) = 0.0;
-    g(i, n - 1) = 0.0;
+}
+
+// Row kernels.  The variable-coefficient accumulation order mirrors the
+// Poisson kernel term for term, so a variable operator whose coefficients
+// happen to be exactly 1 (c = 0) reproduces the fast path to the last ulp.
+
+inline void poisson_row(const double* up, const double* mid,
+                        const double* down, const double* rhs, double* out,
+                        double inv_h2, int n) {
+  store_stencil_row(rhs, out, n, [=](int j) {
+    return (4.0 * mid[j] - up[j] - down[j] - mid[j - 1] - mid[j + 1]) *
+           inv_h2;
+  });
+}
+
+/// 5-point row; aW = axr[j−1], aE = axr[j], aN = ay_up[j], aS = ay_dn[j].
+inline void var5_row(const double* axr, const double* ay_up,
+                     const double* ay_dn, const double* up, const double* mid,
+                     const double* down, const double* rhs, double* out,
+                     double inv_h2, double c, int n) {
+  store_stencil_row(rhs, out, n, [=](int j) {
+    const double aw = axr[j - 1];
+    const double ae = axr[j];
+    const double an = ay_up[j];
+    const double as = ay_dn[j];
+    const double diag = ((aw + ae) + an) + as;
+    return (diag * mid[j] - an * up[j] - as * down[j] - aw * mid[j - 1] -
+            ae * mid[j + 1]) *
+               inv_h2 +
+           c * mid[j];
+  });
+}
+
+/// 9-point row: corner couplings and the explicit centre coefficient
+/// join the accumulation (see stencil_op.h for the coupling layout).
+inline void var9_row(const NinePointRows& rows, const double* up,
+                     const double* mid, const double* down, const double* rhs,
+                     double* out, double inv_h2, double c, int n) {
+  store_stencil_row(rhs, out, n, [&rows, up, mid, down, inv_h2, c](int j) {
+    const double nb = rows.neighbour_sum(up, mid, down, j);
+    return (rows.center[j] * mid[j] - nb) * inv_h2 + c * mid[j];
+  });
+}
+
+/// The one apply/residual sweep: every public entry point is a call of
+/// this over K >= 1 validated slots (bs empty for apply).
+void stencil_sweep(const StencilOp& op, std::span<const Grid2D* const> xs,
+                   std::span<const Grid2D* const> bs,
+                   std::span<Grid2D* const> outs, rt::Scheduler& sched,
+                   const KernelPolicy& kernels) {
+  if (xs.empty()) return;
+  const int n = op.n();
+  const double inv_h2 = static_cast<double>(n - 1) * static_cast<double>(n - 1);
+  using Row = const double*;
+  if (op.is_poisson()) {
+    stencil_rows(n, xs, bs, outs, sched, [=](int) {
+      return [=](Row up, Row mid, Row down, Row rhs, double* out) {
+        poisson_row(up, mid, down, rhs, out, inv_h2, n);
+      };
+    });
+    return;
   }
+  if (kernels.layout == StencilLayout::kPacked) {
+    packed_stencil_sweep(op, xs, bs, outs, sched, kernels.simd_width);
+    return;
+  }
+  const double c = op.c();
+  if (op.is_nine_point()) {
+    stencil_rows(n, xs, bs, outs, sched, [&](int i) {
+      return [=, rows = NinePointRows(op, i)](Row up, Row mid, Row down,
+                                              Row rhs, double* out) {
+        var9_row(rows, up, mid, down, rhs, out, inv_h2, c, n);
+      };
+    });
+    return;
+  }
+  const Grid2D& ax = op.ax_grid();
+  const Grid2D& ay = op.ay_grid();
+  stencil_rows(n, xs, bs, outs, sched, [&](int i) {
+    return [=, axr = ax.row(i), ay_up = ay.row(i - 1), ay_dn = ay.row(i)](
+               Row up, Row mid, Row down, Row rhs, double* out) {
+      var5_row(axr, ay_up, ay_dn, up, mid, down, rhs, out, inv_h2, c, n);
+    };
+  });
+}
+
+/// apply/residual of one grid: the K = 1 sweep.
+void stencil_solo(const StencilOp& op, const Grid2D& x, const Grid2D* b,
+                  Grid2D& out, rt::Scheduler& sched,
+                  const KernelPolicy& kernels, const char* what) {
+  const Grid2D* xs[] = {&x};
+  const Grid2D* bs[] = {b};
+  Grid2D* outs[] = {&out};
+  const std::span<const Grid2D* const> b_span(bs, b != nullptr ? 1 : 0);
+  check_slots(op, xs, b_span, outs, what);
+  stencil_sweep(op, xs, b_span, outs, sched, kernels);
 }
 
 }  // namespace
 
 void apply_poisson(const Grid2D& x, Grid2D& out, rt::Scheduler& sched) {
-  check_valid(x, "apply_poisson");
-  check_same_size(x, out, "apply_poisson");
-  const int n = x.n();
-  const double inv_h2 = static_cast<double>(n - 1) * static_cast<double>(n - 1);
-  sched.parallel_for(1, n - 1, sched.grain_for(n - 2, n - 2),
-                     [&](std::int64_t ib, std::int64_t ie) {
-                       for (int i = static_cast<int>(ib);
-                            i < static_cast<int>(ie); ++i) {
-                         const double* up = x.row(i - 1);
-                         const double* mid = x.row(i);
-                         const double* down = x.row(i + 1);
-                         double* o = out.row(i);
-                         for (int j = 1; j < n - 1; ++j) {
-                           o[j] = (4.0 * mid[j] - up[j] - down[j] -
-                                   mid[j - 1] - mid[j + 1]) *
-                                  inv_h2;
-                         }
-                       }
-                     });
-  zero_boundary(out);
+  stencil_solo(StencilOp::poisson(x.n()), x, nullptr, out, sched, {},
+               "apply_poisson");
 }
 
 void residual(const Grid2D& x, const Grid2D& b, Grid2D& r,
               rt::Scheduler& sched) {
-  check_valid(x, "residual");
-  check_same_size(x, b, "residual");
-  check_same_size(x, r, "residual");
-  const int n = x.n();
-  const double inv_h2 = static_cast<double>(n - 1) * static_cast<double>(n - 1);
-  sched.parallel_for(1, n - 1, sched.grain_for(n - 2, n - 2),
-                     [&](std::int64_t ib, std::int64_t ie) {
-                       for (int i = static_cast<int>(ib);
-                            i < static_cast<int>(ie); ++i) {
-                         const double* up = x.row(i - 1);
-                         const double* mid = x.row(i);
-                         const double* down = x.row(i + 1);
-                         const double* rhs = b.row(i);
-                         double* o = r.row(i);
-                         for (int j = 1; j < n - 1; ++j) {
-                           o[j] = rhs[j] - (4.0 * mid[j] - up[j] - down[j] -
-                                            mid[j - 1] - mid[j + 1]) *
-                                               inv_h2;
-                         }
-                       }
-                     });
-  zero_boundary(r);
+  stencil_solo(StencilOp::poisson(x.n()), x, &b, r, sched, {}, "residual");
 }
-
-namespace {
-
-/// Shared variable-coefficient stencil loop; WithRhs selects residual
-/// (rhs − A·x) versus plain application (A·x).  The accumulation order of
-/// the generic path mirrors the Poisson kernels term for term, so a
-/// variable operator whose coefficients happen to be exactly 1 (c = 0)
-/// reproduces the fast path to the last ulp.
-template <bool WithRhs>
-void stencil_loop(const StencilOp& op, const Grid2D& x, const Grid2D* b,
-                  Grid2D& out, rt::Scheduler& sched) {
-  const int n = x.n();
-  const double inv_h2 = static_cast<double>(n - 1) * static_cast<double>(n - 1);
-  const double c = op.c();
-  const Grid2D& ax = op.ax_grid();
-  const Grid2D& ay = op.ay_grid();
-  sched.parallel_for(
-      1, n - 1, sched.grain_for(n - 2, n - 2),
-      [&](std::int64_t ib, std::int64_t ie) {
-        for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-          const double* up = x.row(i - 1);
-          const double* mid = x.row(i);
-          const double* down = x.row(i + 1);
-          const double* axr = ax.row(i);      // aW = axr[j-1], aE = axr[j]
-          const double* ay_up = ay.row(i - 1);  // aN = ay_up[j]
-          const double* ay_dn = ay.row(i);      // aS = ay_dn[j]
-          const double* rhs = WithRhs ? b->row(i) : nullptr;
-          double* o = out.row(i);
-          for (int j = 1; j < n - 1; ++j) {
-            const double aw = axr[j - 1];
-            const double ae = axr[j];
-            const double an = ay_up[j];
-            const double as = ay_dn[j];
-            const double diag = ((aw + ae) + an) + as;
-            const double av = (diag * mid[j] - an * up[j] - as * down[j] -
-                               aw * mid[j - 1] - ae * mid[j + 1]) *
-                                  inv_h2 +
-                              c * mid[j];
-            if constexpr (WithRhs) o[j] = rhs[j] - av;
-            else o[j] = av;
-          }
-        }
-      });
-  zero_boundary(out);
-}
-
-/// 9-point variant: corner couplings and the explicit centre coefficient
-/// join the accumulation (see stencil_op.h for the coupling layout).  The
-/// 5-point loop above stays untouched so operators without corners keep
-/// their bitwise-stable code path.
-template <bool WithRhs>
-void stencil_loop9(const StencilOp& op, const Grid2D& x, const Grid2D* b,
-                   Grid2D& out, rt::Scheduler& sched) {
-  const int n = x.n();
-  const double inv_h2 = static_cast<double>(n - 1) * static_cast<double>(n - 1);
-  const double c = op.c();
-  sched.parallel_for(
-      1, n - 1, sched.grain_for(n - 2, n - 2),
-      [&](std::int64_t ib, std::int64_t ie) {
-        for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-          const double* up = x.row(i - 1);
-          const double* mid = x.row(i);
-          const double* down = x.row(i + 1);
-          const NinePointRows rows(op, i);
-          const double* rhs = WithRhs ? b->row(i) : nullptr;
-          double* o = out.row(i);
-          for (int j = 1; j < n - 1; ++j) {
-            const double nb = rows.neighbour_sum(up, mid, down, j);
-            const double av =
-                (rows.center[j] * mid[j] - nb) * inv_h2 + c * mid[j];
-            if constexpr (WithRhs) o[j] = rhs[j] - av;
-            else o[j] = av;
-          }
-        }
-      });
-  zero_boundary(out);
-}
-
-}  // namespace
 
 void apply_op(const StencilOp& op, const Grid2D& x, Grid2D& out,
               rt::Scheduler& sched, const KernelPolicy& kernels) {
-  check_valid(x, "apply_op");
-  check_same_size(x, out, "apply_op");
-  PBMG_CHECK(op.n() == x.n(), "apply_op: operator/grid size mismatch");
-  if (op.is_poisson()) {
-    apply_poisson(x, out, sched);
-    return;
-  }
-  if (kernels.layout == StencilLayout::kPacked) {
-    packed_apply(op, x, out, sched, kernels.simd_width);
-    return;
-  }
-  if (op.is_nine_point()) {
-    stencil_loop9<false>(op, x, nullptr, out, sched);
-    return;
-  }
-  stencil_loop<false>(op, x, nullptr, out, sched);
+  stencil_solo(op, x, nullptr, out, sched, kernels, "apply_op");
 }
 
 void residual_op(const StencilOp& op, const Grid2D& x, const Grid2D& b,
                  Grid2D& r, rt::Scheduler& sched,
                  const KernelPolicy& kernels) {
-  check_valid(x, "residual_op");
-  check_same_size(x, b, "residual_op");
-  check_same_size(x, r, "residual_op");
-  PBMG_CHECK(op.n() == x.n(), "residual_op: operator/grid size mismatch");
-  if (op.is_poisson()) {
-    residual(x, b, r, sched);
-    return;
-  }
-  if (kernels.layout == StencilLayout::kPacked) {
-    packed_residual(op, x, b, r, sched, kernels.simd_width);
-    return;
-  }
-  if (op.is_nine_point()) {
-    stencil_loop9<true>(op, x, &b, r, sched);
-    return;
-  }
-  stencil_loop<true>(op, x, &b, r, sched);
+  stencil_solo(op, x, &b, r, sched, kernels, "residual_op");
 }
-
-namespace {
-
-/// Validates one batched-kernel call: equal span sizes, no null slots,
-/// every grid matching the operator's size.
-void check_multi(const StencilOp& op, std::span<const Grid2D* const> xs,
-                 std::span<const Grid2D* const> bs,
-                 std::span<Grid2D* const> rs, const char* what) {
-  PBMG_CHECK(xs.size() == bs.size() && xs.size() == rs.size(),
-             std::string(what) + ": span size mismatch");
-  for (std::size_t k = 0; k < xs.size(); ++k) {
-    PBMG_CHECK(xs[k] != nullptr && bs[k] != nullptr && rs[k] != nullptr,
-               std::string(what) + ": null grid slot");
-    PBMG_CHECK(xs[k]->n() == op.n() && bs[k]->n() == op.n() &&
-                   rs[k]->n() == op.n(),
-               std::string(what) + ": operator/grid size mismatch");
-  }
-}
-
-/// Fused Poisson residual over K right-hand-sides: one row task walks all
-/// K solution/rhs rows before moving on.  Per-k arithmetic is the solo
-/// residual() loop verbatim.
-void residual_poisson_multi(std::span<const Grid2D* const> xs,
-                            std::span<const Grid2D* const> bs,
-                            std::span<Grid2D* const> rs,
-                            rt::Scheduler& sched) {
-  const int n = xs[0]->n();
-  const double inv_h2 = static_cast<double>(n - 1) * static_cast<double>(n - 1);
-  sched.parallel_for(
-      1, n - 1, sched.grain_for(n - 2, n - 2),
-      [&](std::int64_t ib, std::int64_t ie) {
-        for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-          for (std::size_t k = 0; k < xs.size(); ++k) {
-            const Grid2D& x = *xs[k];
-            const double* up = x.row(i - 1);
-            const double* mid = x.row(i);
-            const double* down = x.row(i + 1);
-            const double* rhs = bs[k]->row(i);
-            double* o = rs[k]->row(i);
-            for (int j = 1; j < n - 1; ++j) {
-              o[j] = rhs[j] - (4.0 * mid[j] - up[j] - down[j] - mid[j - 1] -
-                               mid[j + 1]) *
-                                  inv_h2;
-            }
-          }
-        }
-      });
-  for (Grid2D* r : rs) zero_boundary(*r);
-}
-
-/// Fused 5-point residual: coefficient rows are resolved once per grid
-/// row and reused across all K inner sweeps — the coefficient-bandwidth
-/// amortization batching exists for.  Per-k accumulation mirrors
-/// stencil_loop<true> term for term.
-void residual_5pt_multi(const StencilOp& op,
-                        std::span<const Grid2D* const> xs,
-                        std::span<const Grid2D* const> bs,
-                        std::span<Grid2D* const> rs, rt::Scheduler& sched) {
-  const int n = op.n();
-  const double inv_h2 = static_cast<double>(n - 1) * static_cast<double>(n - 1);
-  const double c = op.c();
-  const Grid2D& ax = op.ax_grid();
-  const Grid2D& ay = op.ay_grid();
-  sched.parallel_for(
-      1, n - 1, sched.grain_for(n - 2, n - 2),
-      [&](std::int64_t ib, std::int64_t ie) {
-        for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-          const double* axr = ax.row(i);
-          const double* ay_up = ay.row(i - 1);
-          const double* ay_dn = ay.row(i);
-          for (std::size_t k = 0; k < xs.size(); ++k) {
-            const Grid2D& x = *xs[k];
-            const double* up = x.row(i - 1);
-            const double* mid = x.row(i);
-            const double* down = x.row(i + 1);
-            const double* rhs = bs[k]->row(i);
-            double* o = rs[k]->row(i);
-            for (int j = 1; j < n - 1; ++j) {
-              const double aw = axr[j - 1];
-              const double ae = axr[j];
-              const double an = ay_up[j];
-              const double as = ay_dn[j];
-              const double diag = ((aw + ae) + an) + as;
-              o[j] = rhs[j] - ((diag * mid[j] - an * up[j] - as * down[j] -
-                                aw * mid[j - 1] - ae * mid[j + 1]) *
-                                   inv_h2 +
-                               c * mid[j]);
-            }
-          }
-        }
-      });
-  for (Grid2D* r : rs) zero_boundary(*r);
-}
-
-/// Fused 9-point residual; per-k accumulation mirrors stencil_loop9<true>.
-void residual_9pt_multi(const StencilOp& op,
-                        std::span<const Grid2D* const> xs,
-                        std::span<const Grid2D* const> bs,
-                        std::span<Grid2D* const> rs, rt::Scheduler& sched) {
-  const int n = op.n();
-  const double inv_h2 = static_cast<double>(n - 1) * static_cast<double>(n - 1);
-  const double c = op.c();
-  sched.parallel_for(
-      1, n - 1, sched.grain_for(n - 2, n - 2),
-      [&](std::int64_t ib, std::int64_t ie) {
-        for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-          const NinePointRows rows(op, i);
-          for (std::size_t k = 0; k < xs.size(); ++k) {
-            const Grid2D& x = *xs[k];
-            const double* up = x.row(i - 1);
-            const double* mid = x.row(i);
-            const double* down = x.row(i + 1);
-            const double* rhs = bs[k]->row(i);
-            double* o = rs[k]->row(i);
-            for (int j = 1; j < n - 1; ++j) {
-              const double nb = rows.neighbour_sum(up, mid, down, j);
-              o[j] = rhs[j] -
-                     ((rows.center[j] * mid[j] - nb) * inv_h2 + c * mid[j]);
-            }
-          }
-        }
-      });
-  for (Grid2D* r : rs) zero_boundary(*r);
-}
-
-}  // namespace
 
 void residual_op_multi(const StencilOp& op,
                        std::span<const Grid2D* const> xs,
                        std::span<const Grid2D* const> bs,
                        std::span<Grid2D* const> rs, rt::Scheduler& sched,
                        const KernelPolicy& kernels) {
-  check_multi(op, xs, bs, rs, "residual_op_multi");
-  if (xs.empty()) return;
-  if (xs.size() == 1) {
-    // K = 1 takes the solo kernel so batch-of-one and solo are the same
-    // code path, not merely bitwise-equal ones.
-    residual_op(op, *xs[0], *bs[0], *rs[0], sched, kernels);
-    return;
-  }
-  if (op.is_poisson()) {
-    residual_poisson_multi(xs, bs, rs, sched);
-    return;
-  }
-  if (kernels.layout == StencilLayout::kPacked) {
-    packed_residual_multi(op, xs, bs, rs, sched, kernels.simd_width);
-    return;
-  }
-  if (op.is_nine_point()) {
-    residual_9pt_multi(op, xs, bs, rs, sched);
-    return;
-  }
-  residual_5pt_multi(op, xs, bs, rs, sched);
+  PBMG_CHECK(bs.size() == xs.size(), "residual_op_multi: span size mismatch");
+  check_slots(op, xs, bs, rs, "residual_op_multi");
+  stencil_sweep(op, xs, bs, rs, sched, kernels);
 }
 
 void restrict_full_weighting(const Grid2D& fine, Grid2D& coarse,

@@ -33,18 +33,18 @@ void residual(const Grid2D& x, const Grid2D& b, Grid2D& r,
 
 /// out(i,j) = (A x)(i,j) for a variable-coefficient operator (see
 /// stencil_op.h); out's boundary ring is zeroed.  The Poisson fast path
-/// dispatches to apply_poisson, bit-for-bit, and a 5-point operator keeps
-/// its pre-9-point loop bit-for-bit; 9-point operators take the corner-
-/// coupled kernel.  A KernelPolicy selecting StencilLayout::kPacked runs
-/// the SoA-packed SIMD kernels instead (packed_kernels.h) — bitwise
-/// identical results, different memory traffic (Poisson still takes its
-/// dedicated kernel).  Requires x.n() == op.n().
+/// runs the constant-coefficient kernel of apply_poisson, a 5-point
+/// operator the 5-point kernel and a 9-point operator the corner-coupled
+/// one.  A KernelPolicy selecting StencilLayout::kPacked runs the
+/// SoA-packed SIMD kernels instead (packed_kernels.h) — bitwise identical
+/// results, different memory traffic (Poisson still takes its dedicated
+/// kernel).  Requires x.n() == op.n().
 void apply_op(const StencilOp& op, const Grid2D& x, Grid2D& out,
               rt::Scheduler& sched, const KernelPolicy& kernels = {});
 
 /// r = b − A x for a variable-coefficient operator; r's boundary ring is
-/// zeroed.  The Poisson fast path dispatches to residual(), bit-for-bit;
-/// the kernel policy selects legacy vs packed sweeps as in apply_op.
+/// zeroed.  Kernel choice as in apply_op (the Poisson fast path is
+/// residual()'s kernel).
 void residual_op(const StencilOp& op, const Grid2D& x, const Grid2D& b,
                  Grid2D& r, rt::Scheduler& sched,
                  const KernelPolicy& kernels = {});
@@ -52,11 +52,13 @@ void residual_op(const StencilOp& op, const Grid2D& x, const Grid2D& b,
 /// Batched residual: rs[k] = bs[k] − A·xs[k] for K right-hand-sides of
 /// one operator, fused so each coefficient row is loaded once per row
 /// sweep and reused across all K (the batched-serving amortization —
-/// coefficients dominate the 9-point sweep's bandwidth).  Each k's
-/// per-point accumulation order is exactly the solo residual_op order,
-/// so every slot is bitwise identical to K separate calls; the fusion
-/// changes only *when* coefficient loads happen, never the arithmetic.
-/// Requires equal span sizes and all grids matching op.n().
+/// coefficients dominate the 9-point sweep's bandwidth).  There is one
+/// sweep per stencil kind: residual_op, residual and the apply functions
+/// run it with K = 1, so every slot is bitwise identical to a solo call;
+/// the fusion changes only *when* coefficient loads happen, never the
+/// arithmetic.  An empty span is a no-op.  Throws InvalidArgument unless
+/// the spans have equal sizes, no slot is null and every grid matches
+/// op.n().
 void residual_op_multi(const StencilOp& op,
                        std::span<const Grid2D* const> xs,
                        std::span<const Grid2D* const> bs,

@@ -1,10 +1,14 @@
 #include "grid/packed_kernels.h"
 
 #include <algorithm>
+#include <optional>
+#include <tuple>
+#include <type_traits>
 
 #include "grid/level.h"
 #include "grid/packed_rows.h"
 #include "grid/packed_stencil.h"
+#include "grid/row_sweep.h"
 
 // This TU is compiled with baseline flags only — all ISA-specific code
 // lives behind the explicit template instantiations in the per-width TUs
@@ -15,18 +19,6 @@
 namespace pbmg::grid {
 
 namespace {
-
-void zero_boundary(Grid2D& g) {
-  const int n = g.n();
-  for (int j = 0; j < n; ++j) {
-    g(0, j) = 0.0;
-    g(n - 1, j) = 0.0;
-  }
-  for (int i = 0; i < n; ++i) {
-    g(i, 0) = 0.0;
-    g(i, n - 1) = 0.0;
-  }
-}
 
 pk::View5 view5(const PackedStencil& p, int i) {
   return {p.stream(i, PackedStencil::kAw), p.stream(i, PackedStencil::kAe),
@@ -103,271 +95,107 @@ void check_packed_operands(const StencilOp& op, const Grid2D& x,
              std::string(what) + ": operator/grid size mismatch");
 }
 
-void packed_stencil_sweep(const StencilOp& op, const Grid2D& x,
-                          const Grid2D* b, Grid2D& out, rt::Scheduler& sched,
-                          int simd_width) {
-  const PackedStencil& p = op.packed();
-  const int n = x.n();
-  const double inv_h2 = static_cast<double>(n - 1) * static_cast<double>(n - 1);
-  const double c = op.c();
-  const int w = clamp_simd_width(simd_width);
-  const bool nine = p.nine_point();
-  sched.parallel_for(
-      1, n - 1, sched.grain_for(n - 2, n - 2),
-      [&](std::int64_t ib, std::int64_t ie) {
-        for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-          const double* up = x.row(i - 1);
-          const double* mid = x.row(i);
-          const double* down = x.row(i + 1);
-          const double* rhs = b != nullptr ? b->row(i) : nullptr;
-          double* o = out.row(i);
-          if (nine) {
-            const pk::View9 v = view9(p, i);
-            switch (w) {
-              case 4: pk::stencil_row9<4>(v, up, mid, down, rhs, o, inv_h2,
-                                          c, n); break;
-              case 2: pk::stencil_row9<2>(v, up, mid, down, rhs, o, inv_h2,
-                                          c, n); break;
-              default: pk::stencil_row9<1>(v, up, mid, down, rhs, o, inv_h2,
-                                           c, n); break;
-            }
-          } else {
-            const pk::View5 v = view5(p, i);
-            switch (w) {
-              case 4: pk::stencil_row5<4>(v, up, mid, down, rhs, o, inv_h2,
-                                          c, n); break;
-              case 2: pk::stencil_row5<2>(v, up, mid, down, rhs, o, inv_h2,
-                                          c, n); break;
-              default: pk::stencil_row5<1>(v, up, mid, down, rhs, o, inv_h2,
-                                           c, n); break;
-            }
-          }
-        }
-      });
-  zero_boundary(out);
+/// Validates the slots of a batched packed sweep: equal span sizes, no
+/// null slot, every grid matching the operator.  Returns false for an
+/// empty batch (nothing to do).
+bool check_packed_slots(const StencilOp& op, std::span<Grid2D* const> xs,
+                        std::span<const Grid2D* const> bs, const char* what) {
+  PBMG_CHECK(xs.size() == bs.size(),
+             std::string(what) + ": span size mismatch");
+  if (xs.empty()) return false;
+  for (std::size_t k = 0; k < xs.size(); ++k) {
+    PBMG_CHECK(xs[k] != nullptr && bs[k] != nullptr,
+               std::string(what) + ": null grid slot");
+    check_packed_operands(op, *xs[k], what);
+    PBMG_CHECK(bs[k]->n() == op.n(),
+               std::string(what) + ": operator/grid size mismatch");
+  }
+  return true;
 }
+
+/// Calls f(std::integral_constant<int, W>{}) for the lane count w in
+/// {1, 2, 4}, so a sweep picks its kernel instantiation once, not per row.
+template <class F>
+void with_width(int w, F&& f) {
+  switch (w) {
+    case 4: f(std::integral_constant<int, 4>{}); break;
+    case 2: f(std::integral_constant<int, 2>{}); break;
+    default: f(std::integral_constant<int, 1>{}); break;
+  }
+}
+
+using Row = const double*;
 
 }  // namespace
 
-void packed_apply(const StencilOp& op, const Grid2D& x, Grid2D& out,
-                  rt::Scheduler& sched, int simd_width) {
-  check_packed_operands(op, x, "packed_apply");
-  PBMG_CHECK(x.n() == out.n(), "packed_apply: grid size mismatch");
-  packed_stencil_sweep(op, x, nullptr, out, sched, simd_width);
-}
-
-void packed_residual(const StencilOp& op, const Grid2D& x, const Grid2D& b,
-                     Grid2D& r, rt::Scheduler& sched, int simd_width) {
-  check_packed_operands(op, x, "packed_residual");
-  PBMG_CHECK(x.n() == b.n() && x.n() == r.n(),
-             "packed_residual: grid size mismatch");
-  packed_stencil_sweep(op, x, &b, r, sched, simd_width);
-}
-
-void packed_residual_multi(const StencilOp& op,
-                           std::span<const Grid2D* const> xs,
-                           std::span<const Grid2D* const> bs,
-                           std::span<Grid2D* const> rs, rt::Scheduler& sched,
-                           int simd_width) {
-  PBMG_CHECK(xs.size() == bs.size() && xs.size() == rs.size(),
-             "packed_residual_multi: span size mismatch");
+void packed_stencil_sweep(const StencilOp& op,
+                          std::span<const Grid2D* const> xs,
+                          std::span<const Grid2D* const> bs,
+                          std::span<Grid2D* const> outs, rt::Scheduler& sched,
+                          int simd_width) {
+  PBMG_CHECK(xs.size() == outs.size() &&
+                 (bs.empty() || bs.size() == xs.size()),
+             "packed_stencil_sweep: span size mismatch");
   if (xs.empty()) return;
-  check_packed_operands(op, *xs[0], "packed_residual_multi");
   for (std::size_t k = 0; k < xs.size(); ++k) {
-    PBMG_CHECK(xs[k]->n() == op.n() && bs[k]->n() == op.n() &&
-                   rs[k]->n() == op.n(),
-               "packed_residual_multi: grid size mismatch");
+    check_packed_operands(op, *xs[k], "packed_stencil_sweep");
+    PBMG_CHECK(outs[k]->n() == op.n() && (bs.empty() || bs[k]->n() == op.n()),
+               "packed_stencil_sweep: grid size mismatch");
   }
   const PackedStencil& p = op.packed();
   const int n = op.n();
   const double inv_h2 = static_cast<double>(n - 1) * static_cast<double>(n - 1);
   const double c = op.c();
-  const int w = clamp_simd_width(simd_width);
-  const bool nine = p.nine_point();
-  sched.parallel_for(
-      1, n - 1, sched.grain_for(n - 2, n - 2),
-      [&](std::int64_t ib, std::int64_t ie) {
-        for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-          // View built once per row; the K inner sweeps stream the same
-          // coefficient block while it is hot.
-          if (nine) {
-            const pk::View9 v = view9(p, i);
-            for (std::size_t k = 0; k < xs.size(); ++k) {
-              const double* up = xs[k]->row(i - 1);
-              const double* mid = xs[k]->row(i);
-              const double* down = xs[k]->row(i + 1);
-              const double* rhs = bs[k]->row(i);
-              double* o = rs[k]->row(i);
-              switch (w) {
-                case 4: pk::stencil_row9<4>(v, up, mid, down, rhs, o, inv_h2,
-                                            c, n); break;
-                case 2: pk::stencil_row9<2>(v, up, mid, down, rhs, o, inv_h2,
-                                            c, n); break;
-                default: pk::stencil_row9<1>(v, up, mid, down, rhs, o,
-                                             inv_h2, c, n); break;
-              }
-            }
-          } else {
-            const pk::View5 v = view5(p, i);
-            for (std::size_t k = 0; k < xs.size(); ++k) {
-              const double* up = xs[k]->row(i - 1);
-              const double* mid = xs[k]->row(i);
-              const double* down = xs[k]->row(i + 1);
-              const double* rhs = bs[k]->row(i);
-              double* o = rs[k]->row(i);
-              switch (w) {
-                case 4: pk::stencil_row5<4>(v, up, mid, down, rhs, o, inv_h2,
-                                            c, n); break;
-                case 2: pk::stencil_row5<2>(v, up, mid, down, rhs, o, inv_h2,
-                                            c, n); break;
-                default: pk::stencil_row5<1>(v, up, mid, down, rhs, o,
-                                             inv_h2, c, n); break;
-              }
-            }
-          }
-        }
+  with_width(clamp_simd_width(simd_width), [&](auto width) {
+    constexpr int W = decltype(width)::value;
+    if (p.nine_point()) {
+      stencil_rows(n, xs, bs, outs, sched, [&](int i) {
+        return [=, v = view9(p, i)](Row up, Row mid, Row down, Row rhs,
+                                    double* out) {
+          pk::stencil_row9<W>(v, up, mid, down, rhs, out, inv_h2, c, n);
+        };
       });
-  for (Grid2D* r : rs) zero_boundary(*r);
-}
-
-void packed_sor_sweep(const StencilOp& op, Grid2D& x, const Grid2D& b,
-                      double omega, rt::Scheduler& sched, int simd_width) {
-  check_packed_operands(op, x, "packed_sor_sweep");
-  PBMG_CHECK(x.n() == b.n(), "packed_sor_sweep: grid size mismatch");
-  const PackedStencil& p = op.packed();
-  const int n = x.n();
-  const double h2 = mesh_width(n) * mesh_width(n);
-  const double ch2 = op.c() * h2;
-  const double keep = 1.0 - omega;
-  const int w = clamp_simd_width(simd_width);
-  if (p.nine_point()) {
-    // Four colours, like the legacy 9-point sweep: corner neighbours of a
-    // (i mod 2, j mod 2) class are all in other classes, so same-colour
-    // points are independent and safe to vectorize across.
-    for (int color = 0; color < 4; ++color) {
-      const int pi = color >> 1;
-      const int pj = color & 1;
-      sched.parallel_for(
-          1, n - 1, sched.grain_for(n - 2, n - 2),
-          [&, pi, pj](std::int64_t ib, std::int64_t ie) {
-            for (int i = static_cast<int>(ib); i < static_cast<int>(ie);
-                 ++i) {
-              if ((i & 1) != pi) continue;
-              const pk::View9 v = view9(p, i);
-              const double* up = x.row(i - 1);
-              double* mid = x.row(i);
-              const double* down = x.row(i + 1);
-              const double* rhs = b.row(i);
-              const int j0 = 1 + ((1 + pj) & 1);
-              switch (w) {
-                case 4: pk::sor_row9<4>(v, up, mid, down, rhs, h2, ch2,
-                                        omega, keep, j0, n); break;
-                case 2: pk::sor_row9<2>(v, up, mid, down, rhs, h2, ch2,
-                                        omega, keep, j0, n); break;
-                default: pk::sor_row9<1>(v, up, mid, down, rhs, h2, ch2,
-                                         omega, keep, j0, n); break;
-              }
-            }
-          });
+    } else {
+      stencil_rows(n, xs, bs, outs, sched, [&](int i) {
+        return [=, v = view5(p, i)](Row up, Row mid, Row down, Row rhs,
+                                    double* out) {
+          pk::stencil_row5<W>(v, up, mid, down, rhs, out, inv_h2, c, n);
+        };
+      });
     }
-    return;
-  }
-  for (int parity = 0; parity <= 1; ++parity) {
-    sched.parallel_for(
-        1, n - 1, sched.grain_for(n - 2, n - 2),
-        [&, parity](std::int64_t ib, std::int64_t ie) {
-          for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-            const pk::View5 v = view5(p, i);
-            const double* up = x.row(i - 1);
-            double* mid = x.row(i);
-            const double* down = x.row(i + 1);
-            const double* rhs = b.row(i);
-            const int j0 = 1 + ((i + 1 + parity) & 1);
-            switch (w) {
-              case 4: pk::sor_row5<4>(v, up, mid, down, rhs, h2, ch2, omega,
-                                      keep, j0, n); break;
-              case 2: pk::sor_row5<2>(v, up, mid, down, rhs, h2, ch2, omega,
-                                      keep, j0, n); break;
-              default: pk::sor_row5<1>(v, up, mid, down, rhs, h2, ch2,
-                                       omega, keep, j0, n); break;
-            }
-          }
-        });
-  }
+  });
 }
 
-void packed_sor_sweep_multi(const StencilOp& op, std::span<Grid2D* const> xs,
-                            std::span<const Grid2D* const> bs, double omega,
-                            rt::Scheduler& sched, int simd_width) {
-  PBMG_CHECK(xs.size() == bs.size(),
-             "packed_sor_sweep_multi: span size mismatch");
-  if (xs.empty()) return;
-  check_packed_operands(op, *xs[0], "packed_sor_sweep_multi");
-  for (std::size_t k = 0; k < xs.size(); ++k) {
-    PBMG_CHECK(xs[k]->n() == op.n() && bs[k]->n() == op.n(),
-               "packed_sor_sweep_multi: grid size mismatch");
-  }
+void packed_sor_sweep(const StencilOp& op, std::span<Grid2D* const> xs,
+                      std::span<const Grid2D* const> bs, double omega,
+                      rt::Scheduler& sched, int simd_width) {
+  if (!check_packed_slots(op, xs, bs, "packed_sor_sweep")) return;
   const PackedStencil& p = op.packed();
   const int n = op.n();
   const double h2 = mesh_width(n) * mesh_width(n);
   const double ch2 = op.c() * h2;
   const double keep = 1.0 - omega;
-  const int w = clamp_simd_width(simd_width);
-  if (p.nine_point()) {
-    for (int color = 0; color < 4; ++color) {
-      const int pi = color >> 1;
-      const int pj = color & 1;
-      sched.parallel_for(
-          1, n - 1, sched.grain_for(n - 2, n - 2),
-          [&, pi, pj](std::int64_t ib, std::int64_t ie) {
-            for (int i = static_cast<int>(ib); i < static_cast<int>(ie);
-                 ++i) {
-              if ((i & 1) != pi) continue;
-              const pk::View9 v = view9(p, i);
-              const int j0 = 1 + ((1 + pj) & 1);
-              for (std::size_t k = 0; k < xs.size(); ++k) {
-                const double* up = xs[k]->row(i - 1);
-                double* mid = xs[k]->row(i);
-                const double* down = xs[k]->row(i + 1);
-                const double* rhs = bs[k]->row(i);
-                switch (w) {
-                  case 4: pk::sor_row9<4>(v, up, mid, down, rhs, h2, ch2,
-                                          omega, keep, j0, n); break;
-                  case 2: pk::sor_row9<2>(v, up, mid, down, rhs, h2, ch2,
-                                          omega, keep, j0, n); break;
-                  default: pk::sor_row9<1>(v, up, mid, down, rhs, h2, ch2,
-                                           omega, keep, j0, n); break;
-                }
-              }
-            }
-          });
+  with_width(clamp_simd_width(simd_width), [&](auto width) {
+    constexpr int W = decltype(width)::value;
+    // Four colours for 9-point operators, like the legacy sweep: corner
+    // neighbours of a (i mod 2, j mod 2) class are all in other classes,
+    // so same-colour points are independent and safe to vectorize across.
+    if (p.nine_point()) {
+      coloured_rows(n, 4, xs, bs, sched, [&](int i) {
+        return [=, v = view9(p, i)](Row up, double* mid, Row down, Row rhs,
+                                    int j0) {
+          pk::sor_row9<W>(v, up, mid, down, rhs, h2, ch2, omega, keep, j0, n);
+        };
+      });
+    } else {
+      coloured_rows(n, 2, xs, bs, sched, [&](int i) {
+        return [=, v = view5(p, i)](Row up, double* mid, Row down, Row rhs,
+                                    int j0) {
+          pk::sor_row5<W>(v, up, mid, down, rhs, h2, ch2, omega, keep, j0, n);
+        };
+      });
     }
-    return;
-  }
-  for (int parity = 0; parity <= 1; ++parity) {
-    sched.parallel_for(
-        1, n - 1, sched.grain_for(n - 2, n - 2),
-        [&, parity](std::int64_t ib, std::int64_t ie) {
-          for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-            const pk::View5 v = view5(p, i);
-            const int j0 = 1 + ((i + 1 + parity) & 1);
-            for (std::size_t k = 0; k < xs.size(); ++k) {
-              const double* up = xs[k]->row(i - 1);
-              double* mid = xs[k]->row(i);
-              const double* down = xs[k]->row(i + 1);
-              const double* rhs = bs[k]->row(i);
-              switch (w) {
-                case 4: pk::sor_row5<4>(v, up, mid, down, rhs, h2, ch2,
-                                        omega, keep, j0, n); break;
-                case 2: pk::sor_row5<2>(v, up, mid, down, rhs, h2, ch2,
-                                        omega, keep, j0, n); break;
-                default: pk::sor_row5<1>(v, up, mid, down, rhs, h2, ch2,
-                                         omega, keep, j0, n); break;
-              }
-            }
-          }
-        });
-  }
+  });
 }
 
 void packed_jacobi_sweep(const StencilOp& op, Grid2D& x, const Grid2D& b,
@@ -419,326 +247,159 @@ void packed_jacobi_sweep(const StencilOp& op, Grid2D& x, const Grid2D& b,
   x.swap(scratch);
 }
 
-void packed_line_x(const StencilOp& op, Grid2D& x, const Grid2D& b,
-                   rt::Scheduler& sched, ScratchPool& pool, int simd_width) {
-  check_packed_operands(op, x, "packed_line_x");
-  PBMG_CHECK(x.n() == b.n(), "packed_line_x: grid size mismatch");
+namespace {
+
+/// Thomas workspaces of one zebra pass: the cp/dp rows every line group
+/// uses, plus the cached pivot factors (sub, inv) when the pass factors
+/// once and replays per slot.
+struct LineWorkspace {
+  LineWorkspace(ScratchPool& pool, int n, bool factored)
+      : cp(pool.acquire(n)), dp(pool.acquire(n)) {
+    if (factored) {
+      sub.emplace(pool.acquire(n));
+      inv.emplace(pool.acquire(n));
+    }
+  }
+  ScratchPool::Lease cp;
+  ScratchPool::Lease dp;
+  std::optional<ScratchPool::Lease> sub;
+  std::optional<ScratchPool::Lease> inv;
+};
+
+/// Runs `group(first_line, lanes, cp, sub, inv, dp)` for every line
+/// group of both zebra parities (odd lines first), each parity
+/// group-parallel.  sub/inv are null for a fused (unfactored) pass.
+template <class Group>
+void zebra_groups(int n, int w, std::size_t batch, LineWorkspace& ws,
+                  rt::Scheduler& sched, Group group) {
+  for (int parity = 1; parity >= 0; --parity) {
+    const LineGroups lg = line_groups(n, parity, w);
+    if (lg.groups == 0) continue;
+    const auto groups = [&](std::int64_t gb, std::int64_t ge) {
+      for (int g = static_cast<int>(gb); g < static_cast<int>(ge); ++g) {
+        const int row = g * w;
+        group(lg.first + 2 * g * w, std::min(w, lg.count - g * w),
+              ws.cp.get().row(row), ws.sub ? ws.sub->get().row(row) : nullptr,
+              ws.inv ? ws.inv->get().row(row) : nullptr, ws.dp.get().row(row));
+      }
+    };
+    sched.parallel_for(
+        0, lg.groups,
+        sched.grain_for(lg.groups, static_cast<std::int64_t>(w) * (n - 2) *
+                                       static_cast<std::int64_t>(batch)),
+        by_ref(groups));
+  }
+}
+
+}  // namespace
+
+// Both line passes keep one choice by K.  A batch of one runs the fused
+// x_lines*/y_lines* Thomas solve; K >= 2 factors each line group once
+// (pivot reciprocals and super-diagonal, every divide included) and
+// replays the rhs recurrence per slot, so K right-hand sides share each
+// coefficient-stream load and each pivot divide.  Factor/apply at K = 1
+// measured 59/19/18/6% slower than the fused solve at N = 65/129/513/1025
+// on a serial engine (4-vCPU Xeon), so K = 1 keeps the fused kernel.
+
+void packed_line_x(const StencilOp& op, std::span<Grid2D* const> xs,
+                   std::span<const Grid2D* const> bs, rt::Scheduler& sched,
+                   ScratchPool& pool, int simd_width) {
+  if (!check_packed_slots(op, xs, bs, "packed_line_x")) return;
   const PackedStencil& p = op.packed();
-  const int n = x.n();
+  const int n = op.n();
   const double h2 = mesh_width(n) * mesh_width(n);
   const double ch2 = op.c() * h2;
-  const int w = clamp_line_width(clamp_simd_width(simd_width), n);
   const long pstride = 2 * p.row_stride();  // lane l: streams of row i0+2l
   const long gstride = 2 * static_cast<long>(n);  // lane l: grid row i0+2l
-  const bool nine = p.nine_point();
-  auto cp_lease = pool.acquire(n);
-  auto dp_lease = pool.acquire(n);
-  Grid2D& cpg = cp_lease.get();
-  Grid2D& dpg = dp_lease.get();
-  for (int parity = 1; parity >= 0; --parity) {
-    const LineGroups lg = line_groups(n, parity, w);
-    if (lg.groups == 0) continue;
-    sched.parallel_for(
-        0, lg.groups,
-        sched.grain_for(lg.groups, static_cast<std::int64_t>(w) * (n - 2)),
-        [&](std::int64_t gb, std::int64_t ge) {
-          for (int g = static_cast<int>(gb); g < static_cast<int>(ge); ++g) {
-            const int i0 = lg.first + 2 * g * w;
-            const int lanes = std::min(w, lg.count - g * w);
-            double* cp = cpg.row(g * w);
-            double* dp = dpg.row(g * w);
-            const double* up = x.row(i0 - 1);
-            double* mid = x.row(i0);
-            const double* down = x.row(i0 + 1);
-            const double* rhs = b.row(i0);
-            if (nine) {
-              const pk::View9 v = view9(p, i0);
-              switch (w) {
-                case 4: pk::x_lines9<4>(v, pstride, up, mid, down, rhs,
-                                        gstride, lanes, cp, dp, h2, ch2, n);
-                        break;
-                case 2: pk::x_lines9<2>(v, pstride, up, mid, down, rhs,
-                                        gstride, lanes, cp, dp, h2, ch2, n);
-                        break;
-                default: pk::x_lines9<1>(v, pstride, up, mid, down, rhs,
-                                         gstride, lanes, cp, dp, h2, ch2, n);
-                         break;
-              }
-            } else {
-              const pk::View5 v = view5(p, i0);
-              switch (w) {
-                case 4: pk::x_lines5<4>(v, pstride, up, mid, down, rhs,
-                                        gstride, lanes, cp, dp, h2, ch2, n);
-                        break;
-                case 2: pk::x_lines5<2>(v, pstride, up, mid, down, rhs,
-                                        gstride, lanes, cp, dp, h2, ch2, n);
-                        break;
-                default: pk::x_lines5<1>(v, pstride, up, mid, down, rhs,
-                                         gstride, lanes, cp, dp, h2, ch2, n);
-                         break;
-              }
-            }
-          }
-        });
-  }
+  const bool fused = xs.size() == 1;
+  LineWorkspace ws(pool, n, !fused);
+  with_width(clamp_line_width(clamp_simd_width(simd_width), n),
+             [&](auto width) {
+    constexpr int W = decltype(width)::value;
+    zebra_groups(n, W, xs.size(), ws, sched,
+                 [&](int i0, int lanes, double* cp, double* sub, double* inv,
+                     double* dp) {
+      const auto rows = [&](std::size_t k) {
+        return std::make_tuple(xs[k]->row(i0 - 1), xs[k]->row(i0),
+                               xs[k]->row(i0 + 1), bs[k]->row(i0));
+      };
+      if (p.nine_point()) {
+        const pk::View9 v = view9(p, i0);
+        if (fused) {
+          const auto [up, mid, down, rhs] = rows(0);
+          pk::x_lines9<W>(v, pstride, up, mid, down, rhs, gstride, lanes, cp,
+                          dp, h2, ch2, n);
+          return;
+        }
+        pk::x_factor9<W>(v, pstride, lanes, cp, sub, inv, ch2, n);
+        for (std::size_t k = 0; k < xs.size(); ++k) {
+          const auto [up, mid, down, rhs] = rows(k);
+          pk::x_apply9<W>(v, pstride, up, mid, down, rhs, gstride, lanes, cp,
+                          sub, inv, dp, h2, n);
+        }
+        return;
+      }
+      const pk::View5 v = view5(p, i0);
+      if (fused) {
+        const auto [up, mid, down, rhs] = rows(0);
+        pk::x_lines5<W>(v, pstride, up, mid, down, rhs, gstride, lanes, cp,
+                        dp, h2, ch2, n);
+        return;
+      }
+      pk::x_factor5<W>(v, pstride, lanes, cp, sub, inv, ch2, n);
+      for (std::size_t k = 0; k < xs.size(); ++k) {
+        const auto [up, mid, down, rhs] = rows(k);
+        pk::x_apply5<W>(v, pstride, up, mid, down, rhs, gstride, lanes, cp,
+                        sub, inv, dp, h2, n);
+      }
+    });
+  });
 }
 
-void packed_line_y(const StencilOp& op, Grid2D& x, const Grid2D& b,
-                   rt::Scheduler& sched, ScratchPool& pool, int simd_width) {
-  check_packed_operands(op, x, "packed_line_y");
-  PBMG_CHECK(x.n() == b.n(), "packed_line_y: grid size mismatch");
-  const PackedStencil& p = op.packed();
-  const int n = x.n();
-  const double h2 = mesh_width(n) * mesh_width(n);
-  const double ch2 = op.c() * h2;
-  const int w = clamp_line_width(clamp_simd_width(simd_width), n);
-  const bool nine = p.nine_point();
-  double* xb = x.row(0);
-  const double* bb = b.row(0);
-  const double* pbase = p.base();
-  const long prow = p.row_stride();
-  const long ppad = p.padded();
-  auto cp_lease = pool.acquire(n);
-  auto dp_lease = pool.acquire(n);
-  Grid2D& cpg = cp_lease.get();
-  Grid2D& dpg = dp_lease.get();
-  for (int parity = 1; parity >= 0; --parity) {
-    const LineGroups lg = line_groups(n, parity, w);
-    if (lg.groups == 0) continue;
-    sched.parallel_for(
-        0, lg.groups,
-        sched.grain_for(lg.groups, static_cast<std::int64_t>(w) * (n - 2)),
-        [&](std::int64_t gb, std::int64_t ge) {
-          for (int g = static_cast<int>(gb); g < static_cast<int>(ge); ++g) {
-            const int j0 = lg.first + 2 * g * w;
-            const int lanes = std::min(w, lg.count - g * w);
-            double* cp = cpg.row(g * w);
-            double* dp = dpg.row(g * w);
-            if (nine) {
-              switch (w) {
-                case 4: pk::y_lines9<4>(xb, bb, pbase, prow, ppad, j0, lanes,
-                                        cp, dp, h2, ch2, n); break;
-                case 2: pk::y_lines9<2>(xb, bb, pbase, prow, ppad, j0, lanes,
-                                        cp, dp, h2, ch2, n); break;
-                default: pk::y_lines9<1>(xb, bb, pbase, prow, ppad, j0,
-                                         lanes, cp, dp, h2, ch2, n); break;
-              }
-            } else {
-              switch (w) {
-                case 4: pk::y_lines5<4>(xb, bb, pbase, prow, ppad, j0, lanes,
-                                        cp, dp, h2, ch2, n); break;
-                case 2: pk::y_lines5<2>(xb, bb, pbase, prow, ppad, j0, lanes,
-                                        cp, dp, h2, ch2, n); break;
-                default: pk::y_lines5<1>(xb, bb, pbase, prow, ppad, j0,
-                                         lanes, cp, dp, h2, ch2, n); break;
-              }
-            }
-          }
-        });
-  }
-}
-
-void packed_line_x_multi(const StencilOp& op, std::span<Grid2D* const> xs,
-                         std::span<const Grid2D* const> bs,
-                         rt::Scheduler& sched, ScratchPool& pool,
-                         int simd_width) {
-  PBMG_CHECK(xs.size() == bs.size(),
-             "packed_line_x_multi: span size mismatch");
-  if (xs.empty()) return;
-  check_packed_operands(op, *xs[0], "packed_line_x_multi");
-  for (std::size_t k = 0; k < xs.size(); ++k) {
-    PBMG_CHECK(xs[k]->n() == op.n() && bs[k]->n() == op.n(),
-               "packed_line_x_multi: grid size mismatch");
-  }
+void packed_line_y(const StencilOp& op, std::span<Grid2D* const> xs,
+                   std::span<const Grid2D* const> bs, rt::Scheduler& sched,
+                   ScratchPool& pool, int simd_width) {
+  if (!check_packed_slots(op, xs, bs, "packed_line_y")) return;
   const PackedStencil& p = op.packed();
   const int n = op.n();
   const double h2 = mesh_width(n) * mesh_width(n);
   const double ch2 = op.c() * h2;
-  const int w = clamp_line_width(clamp_simd_width(simd_width), n);
-  const long pstride = 2 * p.row_stride();
-  const long gstride = 2 * static_cast<long>(n);
-  const bool nine = p.nine_point();
-  auto cp_lease = pool.acquire(n);
-  auto sub_lease = pool.acquire(n);
-  auto inv_lease = pool.acquire(n);
-  auto dp_lease = pool.acquire(n);
-  Grid2D& cpg = cp_lease.get();
-  Grid2D& subg = sub_lease.get();
-  Grid2D& invg = inv_lease.get();
-  Grid2D& dpg = dp_lease.get();
-  for (int parity = 1; parity >= 0; --parity) {
-    const LineGroups lg = line_groups(n, parity, w);
-    if (lg.groups == 0) continue;
-    sched.parallel_for(
-        0, lg.groups,
-        sched.grain_for(lg.groups, static_cast<std::int64_t>(w) * (n - 2) *
-                                       static_cast<std::int64_t>(xs.size())),
-        [&](std::int64_t gb, std::int64_t ge) {
-          for (int g = static_cast<int>(gb); g < static_cast<int>(ge); ++g) {
-            const int i0 = lg.first + 2 * g * w;
-            const int lanes = std::min(w, lg.count - g * w);
-            double* cp = cpg.row(g * w);
-            double* sub = subg.row(g * w);
-            double* inv = invg.row(g * w);
-            double* dp = dpg.row(g * w);
-            // Factor once per group, replay per iterate: the factors (and
-            // coefficient streams) stay hot across all K rhs passes.
-            if (nine) {
-              const pk::View9 v = view9(p, i0);
-              switch (w) {
-                case 4: pk::x_factor9<4>(v, pstride, lanes, cp, sub, inv,
-                                         ch2, n); break;
-                case 2: pk::x_factor9<2>(v, pstride, lanes, cp, sub, inv,
-                                         ch2, n); break;
-                default: pk::x_factor9<1>(v, pstride, lanes, cp, sub, inv,
-                                          ch2, n); break;
-              }
-              for (std::size_t k = 0; k < xs.size(); ++k) {
-                const double* up = xs[k]->row(i0 - 1);
-                double* mid = xs[k]->row(i0);
-                const double* down = xs[k]->row(i0 + 1);
-                const double* rhs = bs[k]->row(i0);
-                switch (w) {
-                  case 4: pk::x_apply9<4>(v, pstride, up, mid, down, rhs,
-                                          gstride, lanes, cp, sub, inv, dp,
-                                          h2, n); break;
-                  case 2: pk::x_apply9<2>(v, pstride, up, mid, down, rhs,
-                                          gstride, lanes, cp, sub, inv, dp,
-                                          h2, n); break;
-                  default: pk::x_apply9<1>(v, pstride, up, mid, down, rhs,
-                                           gstride, lanes, cp, sub, inv, dp,
-                                           h2, n); break;
-                }
-              }
-            } else {
-              const pk::View5 v = view5(p, i0);
-              switch (w) {
-                case 4: pk::x_factor5<4>(v, pstride, lanes, cp, sub, inv,
-                                         ch2, n); break;
-                case 2: pk::x_factor5<2>(v, pstride, lanes, cp, sub, inv,
-                                         ch2, n); break;
-                default: pk::x_factor5<1>(v, pstride, lanes, cp, sub, inv,
-                                          ch2, n); break;
-              }
-              for (std::size_t k = 0; k < xs.size(); ++k) {
-                const double* up = xs[k]->row(i0 - 1);
-                double* mid = xs[k]->row(i0);
-                const double* down = xs[k]->row(i0 + 1);
-                const double* rhs = bs[k]->row(i0);
-                switch (w) {
-                  case 4: pk::x_apply5<4>(v, pstride, up, mid, down, rhs,
-                                          gstride, lanes, cp, sub, inv, dp,
-                                          h2, n); break;
-                  case 2: pk::x_apply5<2>(v, pstride, up, mid, down, rhs,
-                                          gstride, lanes, cp, sub, inv, dp,
-                                          h2, n); break;
-                  default: pk::x_apply5<1>(v, pstride, up, mid, down, rhs,
-                                           gstride, lanes, cp, sub, inv, dp,
-                                           h2, n); break;
-                }
-              }
-            }
-          }
-        });
-  }
-}
-
-void packed_line_y_multi(const StencilOp& op, std::span<Grid2D* const> xs,
-                         std::span<const Grid2D* const> bs,
-                         rt::Scheduler& sched, ScratchPool& pool,
-                         int simd_width) {
-  PBMG_CHECK(xs.size() == bs.size(),
-             "packed_line_y_multi: span size mismatch");
-  if (xs.empty()) return;
-  check_packed_operands(op, *xs[0], "packed_line_y_multi");
-  for (std::size_t k = 0; k < xs.size(); ++k) {
-    PBMG_CHECK(xs[k]->n() == op.n() && bs[k]->n() == op.n(),
-               "packed_line_y_multi: grid size mismatch");
-  }
-  const PackedStencil& p = op.packed();
-  const int n = op.n();
-  const double h2 = mesh_width(n) * mesh_width(n);
-  const double ch2 = op.c() * h2;
-  const int w = clamp_line_width(clamp_simd_width(simd_width), n);
-  const bool nine = p.nine_point();
   const double* pbase = p.base();
   const long prow = p.row_stride();
   const long ppad = p.padded();
-  auto cp_lease = pool.acquire(n);
-  auto sub_lease = pool.acquire(n);
-  auto inv_lease = pool.acquire(n);
-  auto dp_lease = pool.acquire(n);
-  Grid2D& cpg = cp_lease.get();
-  Grid2D& subg = sub_lease.get();
-  Grid2D& invg = inv_lease.get();
-  Grid2D& dpg = dp_lease.get();
-  for (int parity = 1; parity >= 0; --parity) {
-    const LineGroups lg = line_groups(n, parity, w);
-    if (lg.groups == 0) continue;
-    sched.parallel_for(
-        0, lg.groups,
-        sched.grain_for(lg.groups, static_cast<std::int64_t>(w) * (n - 2) *
-                                       static_cast<std::int64_t>(xs.size())),
-        [&](std::int64_t gb, std::int64_t ge) {
-          for (int g = static_cast<int>(gb); g < static_cast<int>(ge); ++g) {
-            const int j0 = lg.first + 2 * g * w;
-            const int lanes = std::min(w, lg.count - g * w);
-            double* cp = cpg.row(g * w);
-            double* sub = subg.row(g * w);
-            double* inv = invg.row(g * w);
-            double* dp = dpg.row(g * w);
-            if (nine) {
-              switch (w) {
-                case 4: pk::y_factor9<4>(pbase, prow, ppad, j0, lanes, cp,
-                                         sub, inv, ch2, n); break;
-                case 2: pk::y_factor9<2>(pbase, prow, ppad, j0, lanes, cp,
-                                         sub, inv, ch2, n); break;
-                default: pk::y_factor9<1>(pbase, prow, ppad, j0, lanes, cp,
-                                          sub, inv, ch2, n); break;
-              }
-              for (std::size_t k = 0; k < xs.size(); ++k) {
-                double* xb = xs[k]->row(0);
-                const double* bb = bs[k]->row(0);
-                switch (w) {
-                  case 4: pk::y_apply9<4>(xb, bb, pbase, prow, ppad, j0,
-                                          lanes, cp, sub, inv, dp, h2, n);
-                          break;
-                  case 2: pk::y_apply9<2>(xb, bb, pbase, prow, ppad, j0,
-                                          lanes, cp, sub, inv, dp, h2, n);
-                          break;
-                  default: pk::y_apply9<1>(xb, bb, pbase, prow, ppad, j0,
-                                           lanes, cp, sub, inv, dp, h2, n);
-                           break;
-                }
-              }
-            } else {
-              switch (w) {
-                case 4: pk::y_factor5<4>(pbase, prow, ppad, j0, lanes, cp,
-                                         sub, inv, ch2, n); break;
-                case 2: pk::y_factor5<2>(pbase, prow, ppad, j0, lanes, cp,
-                                         sub, inv, ch2, n); break;
-                default: pk::y_factor5<1>(pbase, prow, ppad, j0, lanes, cp,
-                                          sub, inv, ch2, n); break;
-              }
-              for (std::size_t k = 0; k < xs.size(); ++k) {
-                double* xb = xs[k]->row(0);
-                const double* bb = bs[k]->row(0);
-                switch (w) {
-                  case 4: pk::y_apply5<4>(xb, bb, pbase, prow, ppad, j0,
-                                          lanes, cp, sub, inv, dp, h2, n);
-                          break;
-                  case 2: pk::y_apply5<2>(xb, bb, pbase, prow, ppad, j0,
-                                          lanes, cp, sub, inv, dp, h2, n);
-                          break;
-                  default: pk::y_apply5<1>(xb, bb, pbase, prow, ppad, j0,
-                                           lanes, cp, sub, inv, dp, h2, n);
-                           break;
-                }
-              }
-            }
-          }
-        });
-  }
+  const bool fused = xs.size() == 1;
+  LineWorkspace ws(pool, n, !fused);
+  with_width(clamp_line_width(clamp_simd_width(simd_width), n),
+             [&](auto width) {
+    constexpr int W = decltype(width)::value;
+    zebra_groups(n, W, xs.size(), ws, sched,
+                 [&](int j0, int lanes, double* cp, double* sub, double* inv,
+                     double* dp) {
+      if (p.nine_point()) {
+        if (fused) {
+          pk::y_lines9<W>(xs[0]->row(0), bs[0]->row(0), pbase, prow, ppad, j0,
+                          lanes, cp, dp, h2, ch2, n);
+          return;
+        }
+        pk::y_factor9<W>(pbase, prow, ppad, j0, lanes, cp, sub, inv, ch2, n);
+        for (std::size_t k = 0; k < xs.size(); ++k) {
+          pk::y_apply9<W>(xs[k]->row(0), bs[k]->row(0), pbase, prow, ppad, j0,
+                          lanes, cp, sub, inv, dp, h2, n);
+        }
+        return;
+      }
+      if (fused) {
+        pk::y_lines5<W>(xs[0]->row(0), bs[0]->row(0), pbase, prow, ppad, j0,
+                        lanes, cp, dp, h2, ch2, n);
+        return;
+      }
+      pk::y_factor5<W>(pbase, prow, ppad, j0, lanes, cp, sub, inv, ch2, n);
+      for (std::size_t k = 0; k < xs.size(); ++k) {
+        pk::y_apply5<W>(xs[k]->row(0), bs[k]->row(0), pbase, prow, ppad, j0,
+                        lanes, cp, sub, inv, dp, h2, n);
+      }
+    });
+  });
 }
 
 }  // namespace pbmg::grid

@@ -43,40 +43,26 @@ int packed_simd_width_supported();
 /// is bitwise identical — so tuned tables stay portable across machines.
 int clamp_simd_width(int width);
 
-/// out = A·x under the packed layout.  Pre/post-conditions match
-/// apply_op; requires !op.is_poisson().
-void packed_apply(const StencilOp& op, const Grid2D& x, Grid2D& out,
-                  rt::Scheduler& sched, int simd_width);
+/// Batched stencil sweep under the packed layout: outs[k] = A·xs[k]
+/// (bs empty) or bs[k] − A·xs[k], boundary rings zeroed.  Each packed
+/// coefficient row block is loaded once and swept across all K slots
+/// before the next row; every slot runs the same pk:: row kernel, so it
+/// is bitwise identical to a K = 1 sweep (and to the legacy kernels).
+/// grid_ops' apply_op / residual_op / residual_op_multi dispatch here.
+void packed_stencil_sweep(const StencilOp& op,
+                          std::span<const Grid2D* const> xs,
+                          std::span<const Grid2D* const> bs,
+                          std::span<Grid2D* const> outs, rt::Scheduler& sched,
+                          int simd_width);
 
-/// r = b − A·x under the packed layout.  Matches residual_op.
-void packed_residual(const StencilOp& op, const Grid2D& x, const Grid2D& b,
-                     Grid2D& r, rt::Scheduler& sched, int simd_width);
-
-/// Batched rs[k] = bs[k] − A·xs[k] under the packed layout: each packed
-/// coefficient row block is loaded once and swept across all K
-/// right-hand-sides before the next row (coefficient bandwidth amortized
-/// K-fold).  Each k runs the exact solo pk:: row kernel, so every slot is
-/// bitwise identical to K packed_residual calls.  Requires equal span
-/// sizes; see residual_op_multi for the caller-facing dispatch.
-void packed_residual_multi(const StencilOp& op,
-                           std::span<const Grid2D* const> xs,
-                           std::span<const Grid2D* const> bs,
-                           std::span<Grid2D* const> rs, rt::Scheduler& sched,
-                           int simd_width);
-
-/// One coloured SOR sweep under the packed layout (red-black for 5-point
-/// operators, four-colour for 9-point).  Matches solvers::sor_sweep's
-/// operator overload.
-void packed_sor_sweep(const StencilOp& op, Grid2D& x, const Grid2D& b,
-                      double omega, rt::Scheduler& sched, int simd_width);
-
-/// Batched coloured SOR: one sweep of each xs[k] against bs[k], the K
-/// sweeps fused per colour × row so coefficient blocks are reused across
-/// right-hand-sides.  Bitwise identical per slot to K packed_sor_sweep
-/// calls (per-k update order is untouched; the RHS never couple).
-void packed_sor_sweep_multi(const StencilOp& op, std::span<Grid2D* const> xs,
-                            std::span<const Grid2D* const> bs, double omega,
-                            rt::Scheduler& sched, int simd_width);
+/// One coloured SOR sweep of each xs[k] against bs[k] under the packed
+/// layout (red-black for 5-point operators, four-colour for 9-point),
+/// fused per colour × row so coefficient blocks are reused across slots.
+/// Per-slot update order is a K = 1 sweep's; the slots never couple.
+/// solvers::sor_sweep and sor_sweep_multi dispatch here.
+void packed_sor_sweep(const StencilOp& op, std::span<Grid2D* const> xs,
+                      std::span<const Grid2D* const> bs, double omega,
+                      rt::Scheduler& sched, int simd_width);
 
 /// One weighted-Jacobi sweep under the packed layout; `scratch` holds the
 /// old iterate on return (contents swapped), like solvers::jacobi_sweep.
@@ -84,33 +70,22 @@ void packed_jacobi_sweep(const StencilOp& op, Grid2D& x, const Grid2D& b,
                          double omega, Grid2D& scratch, rt::Scheduler& sched,
                          int simd_width);
 
-/// One x-line (row) zebra pass under the packed layout: odd rows then
-/// even rows, each group of `simd_width` same-parity rows solved as one
-/// batched Thomas elimination.  Matches line_x of
-/// solvers::line_relax_sweep.
-void packed_line_x(const StencilOp& op, Grid2D& x, const Grid2D& b,
-                   rt::Scheduler& sched, ScratchPool& pool, int simd_width);
+/// One x-line (row) zebra pass of each xs[k] against bs[k] under the
+/// packed layout: odd rows then even rows, each group of `simd_width`
+/// same-parity rows solved as one batched Thomas elimination.  A batch
+/// of one runs the fused elimination; K >= 2 factors each line group
+/// once (the pivots depend only on the operator) and replays the rhs
+/// recurrence per slot — bitwise identical per slot, since the replay
+/// multiplies by the exact reciprocals the fused elimination computes.
+/// Matches line_x of solvers::line_relax_sweep.
+void packed_line_x(const StencilOp& op, std::span<Grid2D* const> xs,
+                   std::span<const Grid2D* const> bs, rt::Scheduler& sched,
+                   ScratchPool& pool, int simd_width);
 
-/// One y-line (column) zebra pass under the packed layout.
-void packed_line_y(const StencilOp& op, Grid2D& x, const Grid2D& b,
-                   rt::Scheduler& sched, ScratchPool& pool, int simd_width);
-
-/// Batched x-line zebra pass: the Thomas forward-elimination pivots
-/// depend only on the operator, so each line group is factored once
-/// (pivot reciprocals + super-diagonal, including every divide) and the
-/// rhs recurrence replays per iterate against the cached factors — K
-/// right-hand sides per coefficient-stream load AND per pivot divide.
-/// Bitwise identical per slot to K packed_line_x calls: the apply pass
-/// multiplies by the exact inv values the solo elimination computes.
-void packed_line_x_multi(const StencilOp& op, std::span<Grid2D* const> xs,
-                         std::span<const Grid2D* const> bs,
-                         rt::Scheduler& sched, ScratchPool& pool,
-                         int simd_width);
-
-/// Batched y-line zebra pass; same factor-once/apply-per-RHS contract.
-void packed_line_y_multi(const StencilOp& op, std::span<Grid2D* const> xs,
-                         std::span<const Grid2D* const> bs,
-                         rt::Scheduler& sched, ScratchPool& pool,
-                         int simd_width);
+/// One y-line (column) zebra pass; same batching contract as
+/// packed_line_x.
+void packed_line_y(const StencilOp& op, std::span<Grid2D* const> xs,
+                   std::span<const Grid2D* const> bs, rt::Scheduler& sched,
+                   ScratchPool& pool, int simd_width);
 
 }  // namespace pbmg::grid

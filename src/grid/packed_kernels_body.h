@@ -22,7 +22,7 @@ namespace pbmg::grid::pk {
 // Residual / apply
 // ---------------------------------------------------------------------------
 
-// Legacy order (grid_ops.cpp stencil_loop):
+// Legacy order (grid_ops.cpp var5_row):
 //   av = (diag*mid[j] − aN*up[j] − aS*down[j] − aW*mid[j−1] − aE*mid[j+1])
 //        * inv_h2 + c*mid[j]
 //   out[j] = rhs ? rhs[j] − av : av
@@ -59,7 +59,7 @@ void stencil_row5(const View5& s, const double* up, const double* mid,
   }
 }
 
-// Legacy order (grid_ops.cpp stencil_loop9 via NinePointRows): the cross
+// Legacy order (grid_ops.cpp var9_row via NinePointRows): the cross
 // sum is its own left-associated chain, added to the in-row pair last —
 //   cross = aN*up[j] + aS*down[j] + aNW*up[j−1] + aNE*up[j+1]
 //         + aSW*down[j−1] + aSE*down[j+1]
@@ -105,7 +105,7 @@ void stencil_row9(const View9& s, const double* up, const double* mid,
 // SOR / Jacobi
 // ---------------------------------------------------------------------------
 
-// Legacy order (relax.cpp sor_sweep 5-point):
+// Legacy order (relax.cpp var5_sor_row):
 //   diag = ((((aW+aE)+aN)+aS)) + c·h²          (packed: diag stream + ch2)
 //   mid[j] = keep*mid[j]
 //          + omega*(h²*rhs[j] + aN*up[j] + aS*down[j]
@@ -140,7 +140,7 @@ void sor_row5(const View5& s, const double* up, double* mid,
   }
 }
 
-// Legacy order (relax.cpp sor_sweep_nine): nb via NinePointRows —
+// Legacy order (relax.cpp var9_sor_row): nb via NinePointRows —
 // (aW*mid[j−1] + aE*mid[j+1]) + cross — then
 //   mid[j] = keep*mid[j] + omega*(h²*rhs[j] + nb)/(ctr + c·h²)
 template <int W>

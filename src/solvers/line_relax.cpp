@@ -326,55 +326,42 @@ void line_y_nine(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
   }
 }
 
-void check_line_operands(const Grid2D& x, const Grid2D& b, RelaxKind kind) {
-  PBMG_CHECK(is_line_relax(kind),
-             "line_relax_sweep: kind must be a line variant");
-  PBMG_CHECK(is_valid_grid_size(x.n()),
-             "line_relax_sweep: grid size must be 2^k+1");
-  PBMG_CHECK(x.n() == b.n(), "line_relax_sweep: grid size mismatch");
+/// One legacy-layout zebra sweep of one grid.  The legacy line solves
+/// have no batched form: a line sweep already shares each coefficient
+/// row across the same-parity lines of one iterate.
+void line_sweep_legacy(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
+                       bool x_pass, bool y_pass, rt::Scheduler& sched,
+                       grid::ScratchPool& pool) {
+  if (op.is_poisson()) {
+    if (x_pass) line_x_poisson(x, b, sched, pool);
+    if (y_pass) line_y_poisson(x, b, sched, pool);
+    return;
+  }
+  const bool nine = op.is_nine_point();
+  if (x_pass) {
+    if (nine) line_x_nine(op, x, b, sched, pool);
+    else line_x_op(op, x, b, sched, pool);
+  }
+  if (y_pass) {
+    if (nine) line_y_nine(op, x, b, sched, pool);
+    else line_y_op(op, x, b, sched, pool);
+  }
 }
 
 }  // namespace
 
 void line_relax_sweep(Grid2D& x, const Grid2D& b, RelaxKind kind,
                       rt::Scheduler& sched, grid::ScratchPool& pool) {
-  check_line_operands(x, b, kind);
-  if (kind == RelaxKind::kLineX || kind == RelaxKind::kLineZebraAlt) {
-    line_x_poisson(x, b, sched, pool);
-  }
-  if (kind == RelaxKind::kLineY || kind == RelaxKind::kLineZebraAlt) {
-    line_y_poisson(x, b, sched, pool);
-  }
+  line_relax_sweep(grid::StencilOp::poisson(x.n()), x, b, kind, sched, pool);
 }
 
 void line_relax_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
                       RelaxKind kind, rt::Scheduler& sched,
                       grid::ScratchPool& pool,
                       const grid::KernelPolicy& kernels) {
-  if (op.is_poisson()) {
-    line_relax_sweep(x, b, kind, sched, pool);
-    return;
-  }
-  check_line_operands(x, b, kind);
-  PBMG_CHECK(op.n() == x.n(), "line_relax_sweep: operator/grid size mismatch");
-  if (kernels.layout == grid::StencilLayout::kPacked) {
-    if (kind == RelaxKind::kLineX || kind == RelaxKind::kLineZebraAlt) {
-      grid::packed_line_x(op, x, b, sched, pool, kernels.simd_width);
-    }
-    if (kind == RelaxKind::kLineY || kind == RelaxKind::kLineZebraAlt) {
-      grid::packed_line_y(op, x, b, sched, pool, kernels.simd_width);
-    }
-    return;
-  }
-  const bool nine = op.is_nine_point();
-  if (kind == RelaxKind::kLineX || kind == RelaxKind::kLineZebraAlt) {
-    if (nine) line_x_nine(op, x, b, sched, pool);
-    else line_x_op(op, x, b, sched, pool);
-  }
-  if (kind == RelaxKind::kLineY || kind == RelaxKind::kLineZebraAlt) {
-    if (nine) line_y_nine(op, x, b, sched, pool);
-    else line_y_op(op, x, b, sched, pool);
-  }
+  Grid2D* xs[] = {&x};
+  const Grid2D* bs[] = {&b};
+  line_relax_sweep_multi(op, xs, bs, kind, sched, pool, kernels);
 }
 
 void line_relax_sweep_multi(const grid::StencilOp& op,
@@ -382,40 +369,32 @@ void line_relax_sweep_multi(const grid::StencilOp& op,
                             std::span<const Grid2D* const> bs, RelaxKind kind,
                             rt::Scheduler& sched, grid::ScratchPool& pool,
                             const grid::KernelPolicy& kernels) {
-  PBMG_CHECK(xs.size() == bs.size(),
-             "line_relax_sweep_multi: span size mismatch");
+  PBMG_CHECK(is_line_relax(kind),
+             "line_relax_sweep: kind must be a line variant");
+  PBMG_CHECK(xs.size() == bs.size(), "line_relax_sweep: span size mismatch");
+  if (xs.empty()) return;
+  PBMG_CHECK(is_valid_grid_size(op.n()),
+             "line_relax_sweep: grid size must be 2^k+1");
   for (std::size_t k = 0; k < xs.size(); ++k) {
     PBMG_CHECK(xs[k] != nullptr && bs[k] != nullptr,
-               "line_relax_sweep_multi: null grid slot");
+               "line_relax_sweep: null grid slot");
+    PBMG_CHECK(xs[k]->n() == op.n() && bs[k]->n() == op.n(),
+               "line_relax_sweep: operator/grid size mismatch");
   }
-  if (xs.size() == 1) {
-    // Batch-of-one takes the solo code path, not merely an equivalent one.
-    line_relax_sweep(op, *xs[0], *bs[0], kind, sched, pool, kernels);
-    return;
-  }
-  if (!op.is_poisson() &&
-      kernels.layout == grid::StencilLayout::kPacked) {
-    // The Thomas pivots depend only on the operator: factor each line
-    // group once and replay the rhs recurrence per iterate
-    // (grid/packed_kernels.h), instead of re-dividing K times.  The
-    // zebra order per iterate (x pass then y pass, odd lines then even)
-    // is preserved inside each fused pass, so every slot stays bitwise
-    // identical to its solo sweep.
-    for (std::size_t k = 0; k < xs.size(); ++k) {
-      check_line_operands(*xs[k], *bs[k], kind);
-      PBMG_CHECK(op.n() == xs[k]->n(),
-                 "line_relax_sweep_multi: operator/grid size mismatch");
-    }
-    if (kind == RelaxKind::kLineX || kind == RelaxKind::kLineZebraAlt) {
-      grid::packed_line_x_multi(op, xs, bs, sched, pool, kernels.simd_width);
-    }
-    if (kind == RelaxKind::kLineY || kind == RelaxKind::kLineZebraAlt) {
-      grid::packed_line_y_multi(op, xs, bs, sched, pool, kernels.simd_width);
-    }
+  const bool x_pass =
+      kind == RelaxKind::kLineX || kind == RelaxKind::kLineZebraAlt;
+  const bool y_pass =
+      kind == RelaxKind::kLineY || kind == RelaxKind::kLineZebraAlt;
+  if (!op.is_poisson() && kernels.layout == grid::StencilLayout::kPacked) {
+    // Each packed pass runs all K slots (see grid/packed_kernels.h for
+    // its one choice by K); per slot the zebra order — x pass then y
+    // pass, odd lines then even — is a solo sweep's.
+    if (x_pass) grid::packed_line_x(op, xs, bs, sched, pool, kernels.simd_width);
+    if (y_pass) grid::packed_line_y(op, xs, bs, sched, pool, kernels.simd_width);
     return;
   }
   for (std::size_t k = 0; k < xs.size(); ++k) {
-    line_relax_sweep(op, *xs[k], *bs[k], kind, sched, pool, kernels);
+    line_sweep_legacy(op, *xs[k], *bs[k], x_pass, y_pass, sched, pool);
   }
 }
 

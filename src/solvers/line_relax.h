@@ -58,7 +58,8 @@ void line_relax_sweep(Grid2D& x, const Grid2D& b, RelaxKind kind,
 /// Variable-coefficient overload: the tridiagonal bands carry the true
 /// per-edge coefficients (sub = −aW, sup = −aE for rows; −aN/−aS for
 /// columns) and the full diagonal (aW+aE+aN+aS)/h² + c.  The Poisson
-/// fast path dispatches to the overload above, bit-for-bit.  A
+/// fast path runs the constant-coefficient solves of the overload above,
+/// which is this overload's call with StencilOp::poisson(x.n()).  A
 /// KernelPolicy selecting the packed layout runs the batched-Thomas SIMD
 /// line solves (grid/packed_kernels.h), vectorized across independent
 /// same-parity lines and bitwise identical to legacy.  Requires
@@ -68,12 +69,14 @@ void line_relax_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
                       grid::ScratchPool& pool,
                       const grid::KernelPolicy& kernels = {});
 
-/// Batched zebra line relaxation: one sweep of each xs[k] against bs[k].
-/// A line sweep already amortizes coefficient traffic across the
-/// same-parity lines of ONE iterate (the batched-Thomas lanes), so this
-/// is a sequential loop over K solo sweeps — trivially bitwise identical
-/// per slot — kept as an entry point so the batched executor treats every
-/// smoother uniformly and a genuinely fused variant can slot in later.
+/// Batched zebra line relaxation: one sweep of each xs[k] against bs[k];
+/// both overloads above are its K = 1 call.  Under the packed layout each
+/// pass runs all K slots, factoring every line group once for K >= 2
+/// (grid/packed_kernels.h); the legacy line solves run the slots one
+/// after another, since a line sweep already shares each coefficient row
+/// across the same-parity lines of one iterate.  Either way every slot is
+/// bitwise identical to its solo sweep.  Requires is_line_relax(kind),
+/// equal span sizes, no null slot and every grid matching op.n().
 void line_relax_sweep_multi(const grid::StencilOp& op,
                             std::span<Grid2D* const> xs,
                             std::span<const Grid2D* const> bs, RelaxKind kind,

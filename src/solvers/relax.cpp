@@ -5,6 +5,7 @@
 
 #include "grid/level.h"
 #include "grid/packed_kernels.h"
+#include "grid/row_sweep.h"
 
 namespace pbmg::solvers {
 
@@ -51,35 +52,6 @@ double scaled_omega_opt(int n, double scale) {
   return std::min(std::max(omega_opt(n) * scale, 0.05), 1.999);
 }
 
-void sor_sweep(Grid2D& x, const Grid2D& b, double omega,
-               rt::Scheduler& sched) {
-  PBMG_CHECK(is_valid_grid_size(x.n()), "sor_sweep: grid size must be 2^k+1");
-  PBMG_CHECK(x.n() == b.n(), "sor_sweep: grid size mismatch");
-  const int n = x.n();
-  const double h2 = mesh_width(n) * mesh_width(n);
-  const double quarter_omega = 0.25 * omega;
-  const double keep = 1.0 - omega;
-  // parity 0 = "red" cells ((i + j) even), parity 1 = "black".
-  for (int parity = 0; parity <= 1; ++parity) {
-    sched.parallel_for(
-        1, n - 1, sched.grain_for(n - 2, n - 2),
-        [&, parity](std::int64_t ib, std::int64_t ie) {
-          for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-            const double* up = x.row(i - 1);
-            double* mid = x.row(i);
-            const double* down = x.row(i + 1);
-            const double* rhs = b.row(i);
-            const int j0 = 1 + ((i + 1 + parity) & 1);
-            for (int j = j0; j < n - 1; j += 2) {
-              mid[j] = keep * mid[j] +
-                       quarter_omega * (h2 * rhs[j] + up[j] + down[j] +
-                                        mid[j - 1] + mid[j + 1]);
-            }
-          }
-        });
-  }
-}
-
 void jacobi_sweep(Grid2D& x, const Grid2D& b, double omega, Grid2D& scratch,
                   rt::Scheduler& sched) {
   PBMG_CHECK(is_valid_grid_size(x.n()), "jacobi_sweep: grid size must be 2^k+1");
@@ -113,44 +85,6 @@ void jacobi_sweep(Grid2D& x, const Grid2D& b, double omega, Grid2D& scratch,
 
 namespace {
 
-/// 9-point SOR needs four colours: diagonal neighbours share the red-black
-/// parity (i+j changes by 0 or 2 across a corner), so a two-colour sweep
-/// would race same-colour updates under the row-parallel scheduler.  With
-/// colours (i mod 2, j mod 2) every stencil neighbour lies in a different
-/// class, restoring the frozen-reads guarantee — the sweep is bitwise
-/// deterministic under any thread count, like the red-black point sweeps.
-void sor_sweep_nine(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
-                    double omega, rt::Scheduler& sched) {
-  const int n = x.n();
-  const double h2 = mesh_width(n) * mesh_width(n);
-  const double ch2 = op.c() * h2;
-  const double keep = 1.0 - omega;
-  for (int color = 0; color < 4; ++color) {
-    const int pi = color >> 1;  // row parity of this colour class
-    const int pj = color & 1;   // column parity
-    sched.parallel_for(
-        1, n - 1, sched.grain_for(n - 2, n - 2),
-        [&, pi, pj](std::int64_t ib, std::int64_t ie) {
-          for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-            if ((i & 1) != pi) continue;
-            const double* up = x.row(i - 1);
-            double* mid = x.row(i);
-            const double* down = x.row(i + 1);
-            const double* rhs = b.row(i);
-            const grid::NinePointRows rows(op, i);
-            const int j0 = 1 + ((1 + pj) & 1);
-            for (int j = j0; j < n - 1; j += 2) {
-              const double diag = rows.center[j] + ch2;
-              PBMG_NUM_ASSERT(diag > 0.0,
-                              "sor_sweep: non-positive stencil diagonal");
-              const double nb = rows.neighbour_sum(up, mid, down, j);
-              mid[j] = keep * mid[j] + omega * (h2 * rhs[j] + nb) / diag;
-            }
-          }
-        });
-  }
-}
-
 void jacobi_sweep_nine(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
                        double omega, Grid2D& scratch, rt::Scheduler& sched) {
   const int n = x.n();
@@ -182,213 +116,115 @@ void jacobi_sweep_nine(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
 
 }  // namespace
 
-void sor_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
-               double omega, rt::Scheduler& sched,
-               const grid::KernelPolicy& kernels) {
-  if (op.is_poisson()) {
-    sor_sweep(x, b, omega, sched);
-    return;
-  }
-  PBMG_CHECK(is_valid_grid_size(x.n()), "sor_sweep: grid size must be 2^k+1");
-  PBMG_CHECK(x.n() == b.n(), "sor_sweep: grid size mismatch");
-  PBMG_CHECK(op.n() == x.n(), "sor_sweep: operator/grid size mismatch");
-  if (kernels.layout == grid::StencilLayout::kPacked) {
-    grid::packed_sor_sweep(op, x, b, omega, sched, kernels.simd_width);
-    return;
-  }
-  if (op.is_nine_point()) {
-    sor_sweep_nine(op, x, b, omega, sched);
-    return;
-  }
-  const int n = x.n();
-  const double h2 = mesh_width(n) * mesh_width(n);
-  const double ch2 = op.c() * h2;
-  const double keep = 1.0 - omega;
-  const Grid2D& ax = op.ax_grid();
-  const Grid2D& ay = op.ay_grid();
-  for (int parity = 0; parity <= 1; ++parity) {
-    sched.parallel_for(
-        1, n - 1, sched.grain_for(n - 2, n - 2),
-        [&, parity](std::int64_t ib, std::int64_t ie) {
-          for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-            const double* up = x.row(i - 1);
-            double* mid = x.row(i);
-            const double* down = x.row(i + 1);
-            const double* rhs = b.row(i);
-            const double* axr = ax.row(i);
-            const double* ay_up = ay.row(i - 1);
-            const double* ay_dn = ay.row(i);
-            const int j0 = 1 + ((i + 1 + parity) & 1);
-            for (int j = j0; j < n - 1; j += 2) {
-              const double aw = axr[j - 1];
-              const double ae = axr[j];
-              const double an = ay_up[j];
-              const double as = ay_dn[j];
-              const double diag = (((aw + ae) + an) + as) + ch2;
-              PBMG_NUM_ASSERT(diag > 0.0,
-                              "sor_sweep: non-positive stencil diagonal");
-              mid[j] = keep * mid[j] +
-                       omega *
-                           (h2 * rhs[j] + an * up[j] + as * down[j] +
-                            aw * mid[j - 1] + ae * mid[j + 1]) /
-                           diag;
-            }
-          }
-        });
-  }
-}
-
 namespace {
 
-/// Fused Poisson red-black sweep over K iterates; per-k update order is
-/// the solo sor_sweep(Grid2D&, ...) loop verbatim.
-void sor_sweep_poisson_multi(std::span<Grid2D* const> xs,
-                             std::span<const Grid2D* const> bs, double omega,
-                             rt::Scheduler& sched) {
-  const int n = xs[0]->n();
-  const double h2 = mesh_width(n) * mesh_width(n);
-  const double quarter_omega = 0.25 * omega;
-  const double keep = 1.0 - omega;
-  for (int parity = 0; parity <= 1; ++parity) {
-    sched.parallel_for(
-        1, n - 1, sched.grain_for(n - 2, n - 2),
-        [&, parity](std::int64_t ib, std::int64_t ie) {
-          for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-            const int j0 = 1 + ((i + 1 + parity) & 1);
-            for (std::size_t k = 0; k < xs.size(); ++k) {
-              const double* up = xs[k]->row(i - 1);
-              double* mid = xs[k]->row(i);
-              const double* down = xs[k]->row(i + 1);
-              const double* rhs = bs[k]->row(i);
-              for (int j = j0; j < n - 1; j += 2) {
-                mid[j] = keep * mid[j] +
-                         quarter_omega * (h2 * rhs[j] + up[j] + down[j] +
-                                          mid[j - 1] + mid[j + 1]);
-              }
-            }
-          }
-        });
+using Row = const double*;
+
+// Row kernels: one colour's points of one row, mid[j0], mid[j0 + 2], …
+
+inline void poisson_sor_row(Row up, double* mid, Row down, Row rhs, int j0,
+                            int n, double h2, double quarter_omega,
+                            double keep) {
+  for (int j = j0; j < n - 1; j += 2) {
+    mid[j] = keep * mid[j] + quarter_omega * (h2 * rhs[j] + up[j] + down[j] +
+                                              mid[j - 1] + mid[j + 1]);
   }
 }
 
-/// Fused 9-point four-colour sweep over K iterates; coefficient rows are
-/// resolved once per grid row and reused across the K inner updates.
-void sor_sweep_nine_multi(const grid::StencilOp& op,
-                          std::span<Grid2D* const> xs,
-                          std::span<const Grid2D* const> bs, double omega,
-                          rt::Scheduler& sched) {
-  const int n = op.n();
-  const double h2 = mesh_width(n) * mesh_width(n);
-  const double ch2 = op.c() * h2;
-  const double keep = 1.0 - omega;
-  for (int color = 0; color < 4; ++color) {
-    const int pi = color >> 1;
-    const int pj = color & 1;
-    sched.parallel_for(
-        1, n - 1, sched.grain_for(n - 2, n - 2),
-        [&, pi, pj](std::int64_t ib, std::int64_t ie) {
-          for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-            if ((i & 1) != pi) continue;
-            const grid::NinePointRows rows(op, i);
-            const int j0 = 1 + ((1 + pj) & 1);
-            for (std::size_t k = 0; k < xs.size(); ++k) {
-              const double* up = xs[k]->row(i - 1);
-              double* mid = xs[k]->row(i);
-              const double* down = xs[k]->row(i + 1);
-              const double* rhs = bs[k]->row(i);
-              for (int j = j0; j < n - 1; j += 2) {
-                const double diag = rows.center[j] + ch2;
-                PBMG_NUM_ASSERT(diag > 0.0,
-                                "sor_sweep: non-positive stencil diagonal");
-                const double nb = rows.neighbour_sum(up, mid, down, j);
-                mid[j] = keep * mid[j] + omega * (h2 * rhs[j] + nb) / diag;
-              }
-            }
-          }
-        });
+/// 5-point row: each update divides by the cell's true diagonal
+/// (aW+aE+aN+aS)/h² + c, scaled by h².
+inline void var5_sor_row(Row axr, Row ay_up, Row ay_dn, Row up, double* mid,
+                         Row down, Row rhs, int j0, int n, double h2,
+                         double ch2, double omega, double keep) {
+  for (int j = j0; j < n - 1; j += 2) {
+    const double aw = axr[j - 1];
+    const double ae = axr[j];
+    const double an = ay_up[j];
+    const double as = ay_dn[j];
+    const double diag = (((aw + ae) + an) + as) + ch2;
+    PBMG_NUM_ASSERT(diag > 0.0, "sor_sweep: non-positive stencil diagonal");
+    mid[j] = keep * mid[j] + omega *
+                                 (h2 * rhs[j] + an * up[j] + as * down[j] +
+                                  aw * mid[j - 1] + ae * mid[j + 1]) /
+                                 diag;
   }
 }
 
-/// Fused 5-point red-black sweep over K iterates.
-void sor_sweep_5pt_multi(const grid::StencilOp& op,
-                         std::span<Grid2D* const> xs,
-                         std::span<const Grid2D* const> bs, double omega,
-                         rt::Scheduler& sched) {
-  const int n = op.n();
-  const double h2 = mesh_width(n) * mesh_width(n);
-  const double ch2 = op.c() * h2;
-  const double keep = 1.0 - omega;
-  const Grid2D& ax = op.ax_grid();
-  const Grid2D& ay = op.ay_grid();
-  for (int parity = 0; parity <= 1; ++parity) {
-    sched.parallel_for(
-        1, n - 1, sched.grain_for(n - 2, n - 2),
-        [&, parity](std::int64_t ib, std::int64_t ie) {
-          for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-            const double* axr = ax.row(i);
-            const double* ay_up = ay.row(i - 1);
-            const double* ay_dn = ay.row(i);
-            const int j0 = 1 + ((i + 1 + parity) & 1);
-            for (std::size_t k = 0; k < xs.size(); ++k) {
-              const double* up = xs[k]->row(i - 1);
-              double* mid = xs[k]->row(i);
-              const double* down = xs[k]->row(i + 1);
-              const double* rhs = bs[k]->row(i);
-              for (int j = j0; j < n - 1; j += 2) {
-                const double aw = axr[j - 1];
-                const double ae = axr[j];
-                const double an = ay_up[j];
-                const double as = ay_dn[j];
-                const double diag = (((aw + ae) + an) + as) + ch2;
-                PBMG_NUM_ASSERT(diag > 0.0,
-                                "sor_sweep: non-positive stencil diagonal");
-                mid[j] = keep * mid[j] +
-                         omega *
-                             (h2 * rhs[j] + an * up[j] + as * down[j] +
-                              aw * mid[j - 1] + ae * mid[j + 1]) /
-                             diag;
-              }
-            }
-          }
-        });
+inline void var9_sor_row(const grid::NinePointRows& rows, Row up, double* mid,
+                         Row down, Row rhs, int j0, int n, double h2,
+                         double ch2, double omega, double keep) {
+  for (int j = j0; j < n - 1; j += 2) {
+    const double diag = rows.center[j] + ch2;
+    PBMG_NUM_ASSERT(diag > 0.0, "sor_sweep: non-positive stencil diagonal");
+    const double nb = rows.neighbour_sum(up, mid, down, j);
+    mid[j] = keep * mid[j] + omega * (h2 * rhs[j] + nb) / diag;
   }
 }
 
 }  // namespace
 
+void sor_sweep(Grid2D& x, const Grid2D& b, double omega,
+               rt::Scheduler& sched) {
+  sor_sweep(grid::StencilOp::poisson(x.n()), x, b, omega, sched);
+}
+
+void sor_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
+               double omega, rt::Scheduler& sched,
+               const grid::KernelPolicy& kernels) {
+  Grid2D* xs[] = {&x};
+  const Grid2D* bs[] = {&b};
+  sor_sweep_multi(op, xs, bs, omega, sched, kernels);
+}
+
 void sor_sweep_multi(const grid::StencilOp& op, std::span<Grid2D* const> xs,
                      std::span<const Grid2D* const> bs, double omega,
                      rt::Scheduler& sched,
                      const grid::KernelPolicy& kernels) {
-  PBMG_CHECK(xs.size() == bs.size(), "sor_sweep_multi: span size mismatch");
+  PBMG_CHECK(xs.size() == bs.size(), "sor_sweep: span size mismatch");
   if (xs.empty()) return;
+  PBMG_CHECK(is_valid_grid_size(op.n()), "sor_sweep: grid size must be 2^k+1");
   for (std::size_t k = 0; k < xs.size(); ++k) {
     PBMG_CHECK(xs[k] != nullptr && bs[k] != nullptr,
-               "sor_sweep_multi: null grid slot");
+               "sor_sweep: null grid slot");
     PBMG_CHECK(xs[k]->n() == op.n() && bs[k]->n() == op.n(),
-               "sor_sweep_multi: operator/grid size mismatch");
+               "sor_sweep: operator/grid size mismatch");
   }
-  if (xs.size() == 1) {
-    // Batch-of-one takes the solo code path, not merely an equivalent one.
-    sor_sweep(op, *xs[0], *bs[0], omega, sched, kernels);
-    return;
-  }
+  const int n = op.n();
+  const double h2 = mesh_width(n) * mesh_width(n);
+  const double keep = 1.0 - omega;
   if (op.is_poisson()) {
-    sor_sweep_poisson_multi(xs, bs, omega, sched);
+    // parity 0 = "red" cells ((i + j) even), parity 1 = "black".
+    const double quarter_omega = 0.25 * omega;
+    grid::coloured_rows(n, 2, xs, bs, sched, [=](int) {
+      return [=](Row up, double* mid, Row down, Row rhs, int j0) {
+        poisson_sor_row(up, mid, down, rhs, j0, n, h2, quarter_omega, keep);
+      };
+    });
     return;
   }
-  PBMG_CHECK(is_valid_grid_size(op.n()),
-             "sor_sweep_multi: grid size must be 2^k+1");
   if (kernels.layout == grid::StencilLayout::kPacked) {
-    grid::packed_sor_sweep_multi(op, xs, bs, omega, sched,
-                                 kernels.simd_width);
+    grid::packed_sor_sweep(op, xs, bs, omega, sched, kernels.simd_width);
     return;
   }
+  const double ch2 = op.c() * h2;
   if (op.is_nine_point()) {
-    sor_sweep_nine_multi(op, xs, bs, omega, sched);
+    grid::coloured_rows(n, 4, xs, bs, sched, [&](int i) {
+      return [=, rows = grid::NinePointRows(op, i)](Row up, double* mid,
+                                                    Row down, Row rhs, int j0) {
+        var9_sor_row(rows, up, mid, down, rhs, j0, n, h2, ch2, omega, keep);
+      };
+    });
     return;
   }
-  sor_sweep_5pt_multi(op, xs, bs, omega, sched);
+  const Grid2D& ax = op.ax_grid();
+  const Grid2D& ay = op.ay_grid();
+  grid::coloured_rows(n, 2, xs, bs, sched, [&](int i) {
+    return [=, axr = ax.row(i), ay_up = ay.row(i - 1), ay_dn = ay.row(i)](
+               Row up, double* mid, Row down, Row rhs, int j0) {
+      var5_sor_row(axr, ay_up, ay_dn, up, mid, down, rhs, j0, n, h2, ch2,
+                   omega, keep);
+    };
+  });
 }
 
 void jacobi_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,

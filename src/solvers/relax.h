@@ -114,9 +114,10 @@ void validate_relax_tunables(const RelaxTunables& tunables);
 double scaled_omega_opt(int n, double scale);
 
 /// One full red-black SOR sweep (red half-sweep then black half-sweep) on
-/// A·x = b.  Cells of one colour depend only on the other colour, so each
-/// half-sweep is row-parallel.  The boundary ring of x is read, not
-/// written.
+/// the Poisson operator A·x = b.  Cells of one colour depend only on the
+/// other colour, so each half-sweep is row-parallel.  The boundary ring
+/// of x is read, not written.  The operator overload's call with
+/// StencilOp::poisson(x.n()).
 void sor_sweep(Grid2D& x, const Grid2D& b, double omega,
                rt::Scheduler& sched);
 
@@ -127,22 +128,24 @@ void jacobi_sweep(Grid2D& x, const Grid2D& b, double omega, Grid2D& scratch,
 
 /// Red-black SOR sweep for a variable-coefficient operator: each update
 /// divides by the cell's true diagonal (aW+aE+aN+aS)/h² + c instead of the
-/// Poisson 4/h².  The Poisson fast path dispatches to sor_sweep above,
-/// bit-for-bit.  A KernelPolicy selecting the packed layout runs the SoA
-/// SIMD sweep (grid/packed_kernels.h), bitwise identical to legacy.
-/// Requires x.n() == op.n().
+/// Poisson 4/h²; the Poisson fast path keeps the constant-coefficient
+/// update.  9-point operators sweep four colours (i mod 2, j mod 2), as
+/// their corner neighbours share the red-black parity.  A KernelPolicy
+/// selecting the packed layout runs the SoA SIMD sweep
+/// (grid/packed_kernels.h), bitwise identical to legacy.  This is
+/// sor_sweep_multi's K = 1 call.  Requires x.n() == op.n().
 void sor_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
                double omega, rt::Scheduler& sched,
                const grid::KernelPolicy& kernels = {});
 
-/// Batched red-black SOR: one sweep of each xs[k] against bs[k] under one
-/// operator, the K sweeps fused per parity (or colour) × row so each
-/// coefficient row is loaded once and reused across right-hand-sides —
-/// the bandwidth amortization batched serving buys.  The K iterates never
-/// couple, and each k's update order is exactly the solo sor_sweep order,
-/// so every slot is bitwise identical to K separate calls under any
-/// thread count.  Dispatches Poisson / packed / 9-point / 5-point like
-/// the solo overload.  Requires equal span sizes and all grids matching
+/// Batched red-black SOR — the one SOR implementation: one sweep of each
+/// xs[k] against bs[k] under one operator, the K sweeps fused per parity
+/// (or colour) × row so each coefficient row is loaded once and reused
+/// across right-hand-sides — the bandwidth amortization batched serving
+/// buys.  The K iterates never couple and each runs the same row kernel
+/// in the same order as a K = 1 sweep, so every slot is bitwise identical
+/// to its solo sweep under any thread count.  An empty span is a no-op.
+/// Requires equal span sizes, no null slot and all grids matching
 /// op.n().
 void sor_sweep_multi(const grid::StencilOp& op, std::span<Grid2D* const> xs,
                      std::span<const Grid2D* const> bs, double omega,

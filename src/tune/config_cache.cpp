@@ -49,7 +49,7 @@ std::string config_cache_key(const TrainerOptions& options,
                              const std::string& profile_name,
                              const std::string& strategy) {
   std::ostringstream oss;
-  // "v7": bump when runtime characteristics change enough to invalidate
+  // "v8": bump when runtime characteristics change enough to invalidate
   // previously tuned tables (v2 → v3: scenarios became first-class — the
   // operator family joined the key via ProblemSpec; v3 → v4: the smoother
   // became a tuned per-level choice; v4 → v5: coarsening became a tuned
@@ -60,13 +60,17 @@ std::string config_cache_key(const TrainerOptions& options,
   // retrained with the packed-kernel dimensions enabled; v6 → v7:
   // searched entries gained the "latency_baseline" section — the tuned
   // tables' healthy latency distribution, which the serving-time drift
-  // watcher needs, so baseline-less v6 entries are clean misses).
-  oss << "v7_" << strategy << "_" << profile_name << "_"
+  // watcher needs, so baseline-less v6 entries are clean misses; v7 → v8:
+  // the "_f" token — whether FULL-MULTIGRID tables were trained — joined
+  // the key, so a V-only table can never be served to a caller that runs
+  // FMG, and v7 entries, which may hold either, are clean misses).
+  oss << "v8_" << strategy << "_" << profile_name << "_"
       << options.problem_spec().cache_token() << "_m"
       << options.accuracies.size() << "_p"
       << static_cast<int>(std::lround(std::log10(options.accuracies.back())))
       << "_i" << options.training_instances << "_s" << options.seed << "_sm"
-      << smoother_token(options) << "_co" << coarsening_token(options);
+      << smoother_token(options) << "_co" << coarsening_token(options)
+      << "_f" << (options.train_fmg ? 1 : 0);
   return oss.str();
 }
 

@@ -1,5 +1,7 @@
 #include "tune/executor.h"
 
+#include <array>
+#include <optional>
 #include <vector>
 
 #include "grid/grid_ops.h"
@@ -71,29 +73,25 @@ void TunedExecutor::trace(trace::Op op, int level, int detail) const {
 
 int TunedExecutor::run_v(Grid2D& x, const Grid2D& b, int accuracy_index,
                          obs::PhaseProfile* profile) const {
-  PBMG_CHECK(x.n() == b.n(), "run_v: grid size mismatch");
-  const int level = level_of_size(x.n());
-  return run_v_at(x, b, level, accuracy_index, rap_for_top(level, profile),
-                  profile);
+  Grid2D* xs[] = {&x};
+  const Grid2D* bs[] = {&b};
+  return run_v_multi(xs, bs, accuracy_index, profile);
 }
 
 int TunedExecutor::run_v_multi(std::span<Grid2D* const> xs,
                                std::span<const Grid2D* const> bs,
                                int accuracy_index,
                                obs::PhaseProfile* profile) const {
-  PBMG_CHECK(xs.size() == bs.size(), "run_v_multi: span size mismatch");
+  PBMG_CHECK(xs.size() == bs.size(), "run_v: span size mismatch");
   if (xs.empty()) return 0;
-  const int n = xs[0]->n();
   for (std::size_t k = 0; k < xs.size(); ++k) {
-    PBMG_CHECK(xs[k] != nullptr && bs[k] != nullptr,
-               "run_v_multi: null grid slot");
-    PBMG_CHECK(xs[k]->n() == n && bs[k]->n() == n,
-               "run_v_multi: grid size mismatch");
+    PBMG_CHECK(xs[k] != nullptr && bs[k] != nullptr, "run_v: null grid slot");
+    PBMG_CHECK(xs[k]->n() == xs[0]->n() && bs[k]->n() == xs[0]->n(),
+               "run_v: grid size mismatch");
   }
-  if (xs.size() == 1) return run_v(*xs[0], *bs[0], accuracy_index, profile);
-  const int level = level_of_size(n);
-  return run_v_multi_at(xs, bs, level, accuracy_index,
-                        rap_for_top(level, profile), profile);
+  const int level = level_of_size(xs[0]->n());
+  return run_v_at(xs, bs, level, accuracy_index, rap_for_top(level, profile),
+                  profile);
 }
 
 int TunedExecutor::run_fmg(Grid2D& x, const Grid2D& b, int accuracy_index,
@@ -111,7 +109,9 @@ void TunedExecutor::recurse_body(Grid2D& x, const Grid2D& b,
                                  obs::PhaseProfile* profile) const {
   PBMG_CHECK(x.n() == b.n(), "recurse_body: grid size mismatch");
   const int level = level_of_size(x.n());
-  recurse_body_at(x, b, level, sub_accuracy_index, smoother, coarsening,
+  Grid2D* xs[] = {&x};
+  const Grid2D* bs[] = {&b};
+  recurse_body_at(xs, bs, level, sub_accuracy_index, smoother, coarsening,
                   rap_for_top(level, profile), profile);
 }
 
@@ -124,7 +124,50 @@ void TunedExecutor::estimate(Grid2D& x, const Grid2D& b,
               rap_for_top(level, profile), profile);
 }
 
-int TunedExecutor::run_v_at(Grid2D& x, const Grid2D& b, int level,
+namespace {
+
+/// K scratch grids of one size, leased for one recursion level.  Up to
+/// kInline slots live inside the object, so a solo walk (K = 1) and the
+/// usual batch sizes allocate nothing on the heap per level.
+class SlotGrids {
+ public:
+  static constexpr std::size_t kInline = 8;
+
+  SlotGrids(grid::ScratchPool& pool, int n, std::size_t count)
+      : count_(count) {
+    if (count > kInline) {
+      spill_.reserve(count);
+      spill_ptrs_.resize(count);
+    }
+    for (std::size_t k = 0; k < count; ++k) {
+      grid::ScratchPool::Lease& lease =
+          count > kInline ? spill_.emplace_back(pool.acquire(n))
+                          : inline_[k].emplace(pool.acquire(n));
+      data()[k] = &lease.get();
+    }
+  }
+
+  std::span<Grid2D* const> grids() const {
+    return {count_ > kInline ? spill_ptrs_.data() : inline_ptrs_.data(),
+            count_};
+  }
+
+ private:
+  Grid2D** data() {
+    return count_ > kInline ? spill_ptrs_.data() : inline_ptrs_.data();
+  }
+
+  std::size_t count_;
+  std::array<std::optional<grid::ScratchPool::Lease>, kInline> inline_;
+  std::array<Grid2D*, kInline> inline_ptrs_{};
+  std::vector<grid::ScratchPool::Lease> spill_;
+  std::vector<Grid2D*> spill_ptrs_;
+};
+
+}  // namespace
+
+int TunedExecutor::run_v_at(std::span<Grid2D* const> xs,
+                            std::span<const Grid2D* const> bs, int level,
                             int accuracy_index,
                             const grid::StencilHierarchy* rap,
                             obs::PhaseProfile* profile) const {
@@ -134,126 +177,8 @@ int TunedExecutor::run_v_at(Grid2D& x, const Grid2D& b, int level,
                                 ") was never trained");
   switch (entry.choice.kind) {
     case VKind::kDirect: {
-      obs::ScopedPhaseTimer timer(profile, obs::Phase::kDirect, level);
-      direct_.solve(op_at(level, grid::Coarsening::kAverage, rap), b, x);
-      trace(trace::Op::kDirect, level);
-      return 1;
-    }
-    case VKind::kIterSor: {
-      const grid::StencilOp op =
-          op_at(level, grid::Coarsening::kAverage, rap);
-      const double omega =
-          solvers::scaled_omega_opt(x.n(), relax_.omega_scale);
-      for (int it = 0; it < entry.choice.iterations; ++it) {
-        obs::ScopedPhaseTimer timer(profile, obs::Phase::kRelax, level);
-        solvers::sor_sweep(op, x, b, omega, sched_, relax_.kernels);
-      }
-      trace(trace::Op::kIterative, level, entry.choice.iterations);
-      return entry.choice.iterations;
-    }
-    case VKind::kRecurse:
-      for (int it = 0; it < entry.choice.iterations; ++it) {
-        recurse_body_at(x, b, level, entry.choice.sub_accuracy,
-                        entry.choice.smoother, entry.choice.coarsening, rap,
-                        profile);
-      }
-      return entry.choice.iterations;
-  }
-  return 0;  // unreachable; silences -Wreturn-type
-}
-
-void TunedExecutor::recurse_body_at(Grid2D& x, const Grid2D& b, int level,
-                                    int sub_accuracy_index,
-                                    solvers::RelaxKind smoother,
-                                    grid::Coarsening coarsening,
-                                    const grid::StencilHierarchy* rap,
-                                    obs::PhaseProfile* profile) const {
-  PBMG_CHECK(level >= 2, "recurse_body: cannot recurse below level 2");
-  PBMG_CHECK(sub_accuracy_index >= kClassicalCoarse &&
-                 sub_accuracy_index < config_.accuracy_count(),
-             "recurse_body: sub-accuracy index out of range");
-  // Paper §2.3 RECURSE_i: one pre-relaxation, coarse-grid correction via
-  // MULTIGRID-V_j, one post-relaxation.  The relaxation is the cell's
-  // tuned smoother: point SOR at ω (the paper's 1.15 unless the
-  // runtime-parameter search handed this executor a tuned value), or a
-  // line variant for operators where point relaxation stalls.  The
-  // operator comes from the cell's tuned ladder: averaged coefficients
-  // (the historical path) or the exact Galerkin RAP coarse operators.
-  const grid::StencilOp op = op_at(level, coarsening, rap);
-  const double recurse_omega = relax_.recurse_omega;
-  const obs::Phase relax_phase = solvers::is_line_relax(smoother)
-                                     ? obs::Phase::kLineSolve
-                                     : obs::Phase::kRelax;
-  const auto relax_once = [&] {
-    obs::ScopedPhaseTimer timer(profile, relax_phase, level);
-    if (solvers::is_line_relax(smoother)) {
-      solvers::line_relax_sweep(op, x, b, smoother, sched_, pool_,
-                                relax_.kernels);
-    } else {
-      solvers::sor_sweep(op, x, b, recurse_omega, sched_, relax_.kernels);
-    }
-  };
-  relax_once();
-  trace(trace::Op::kRelax, level);
-
-  const int n = x.n();
-  auto r_lease = pool_.acquire(n);
-  Grid2D& r = r_lease.get();  // residual() writes every cell
-  const int nc = coarse_size(n);
-  auto rc_lease = pool_.acquire(nc);
-  Grid2D& rc = rc_lease.get();  // restriction writes interior + zeros ring
-  {
-    obs::ScopedPhaseTimer timer(profile, obs::Phase::kRestrict, level);
-    grid::residual_op(op, x, b, r, sched_, relax_.kernels);
-    grid::restrict_full_weighting(r, rc, sched_);
-  }
-  trace(trace::Op::kRestrict, level);
-
-  auto e_lease = pool_.acquire(nc);
-  Grid2D& e = e_lease.get();
-  e.fill(0.0);  // zero guess, zero Dirichlet ring (error equation)
-  if (sub_accuracy_index == kClassicalCoarse) {
-    // Classical V-cycle coarse call: one recursion body per level (direct
-    // at the base), never an accuracy-certified coarse solve.  Identical
-    // to solvers::vcycle with ω = recurse ω, one pre/post sweep, and the
-    // cell's smoother and coarsening at every level (both travel down the
-    // classical ramp just as VCycleOptions would carry them).
-    if (level - 1 <= 1) {
-      obs::ScopedPhaseTimer timer(profile, obs::Phase::kDirect, level - 1);
-      direct_.solve(op_at(level - 1, coarsening, rap), rc, e);
-      trace(trace::Op::kDirect, level - 1);
-    } else {
-      recurse_body_at(e, rc, level - 1, kClassicalCoarse, smoother,
-                      coarsening, rap, profile);
-    }
-  } else {
-    run_v_at(e, rc, level - 1, sub_accuracy_index, rap, profile);
-  }
-
-  {
-    obs::ScopedPhaseTimer timer(profile, obs::Phase::kInterpolate, level);
-    grid::interpolate_add(e, x, sched_);
-  }
-  trace(trace::Op::kInterpolate, level);
-
-  relax_once();
-  trace(trace::Op::kRelax, level);
-}
-
-int TunedExecutor::run_v_multi_at(std::span<Grid2D* const> xs,
-                                  std::span<const Grid2D* const> bs,
-                                  int level, int accuracy_index,
-                                  const grid::StencilHierarchy* rap,
-                                  obs::PhaseProfile* profile) const {
-  const VEntry& entry = config_.v_entry(level, accuracy_index);
-  PBMG_CHECK(entry.trained, "run_v: cell (" + std::to_string(level) + "," +
-                                std::to_string(accuracy_index) +
-                                ") was never trained");
-  switch (entry.choice.kind) {
-    case VKind::kDirect: {
       // The direct base solve has no cross-RHS bandwidth to amortize (its
-      // cost is the factorization, shared either way); a plain loop keeps
-      // each slot on the solo code path.
+      // cost is the factorization, shared either way): slot by slot.
       const grid::StencilOp op =
           op_at(level, grid::Coarsening::kAverage, rap);
       obs::ScopedPhaseTimer timer(profile, obs::Phase::kDirect, level);
@@ -277,31 +202,35 @@ int TunedExecutor::run_v_multi_at(std::span<Grid2D* const> xs,
     }
     case VKind::kRecurse:
       for (int it = 0; it < entry.choice.iterations; ++it) {
-        recurse_body_multi_at(xs, bs, level, entry.choice.sub_accuracy,
-                              entry.choice.smoother, entry.choice.coarsening,
-                              rap, profile);
+        recurse_body_at(xs, bs, level, entry.choice.sub_accuracy,
+                        entry.choice.smoother, entry.choice.coarsening, rap,
+                        profile);
       }
       return entry.choice.iterations;
   }
   return 0;  // unreachable; silences -Wreturn-type
 }
 
-void TunedExecutor::recurse_body_multi_at(std::span<Grid2D* const> xs,
-                                          std::span<const Grid2D* const> bs,
-                                          int level, int sub_accuracy_index,
-                                          solvers::RelaxKind smoother,
-                                          grid::Coarsening coarsening,
-                                          const grid::StencilHierarchy* rap,
-                                          obs::PhaseProfile* profile) const {
-  // The solo recurse_body_at, with each kernel swapped for its fused
-  // multi-RHS counterpart (or a per-k loop where there is nothing to
-  // fuse).  Each k's operation sequence — and therefore its accumulation
-  // order — is exactly the solo body's, so the batch stays bitwise
-  // identical per slot while coefficient streams are shared across K.
+void TunedExecutor::recurse_body_at(std::span<Grid2D* const> xs,
+                                    std::span<const Grid2D* const> bs,
+                                    int level, int sub_accuracy_index,
+                                    solvers::RelaxKind smoother,
+                                    grid::Coarsening coarsening,
+                                    const grid::StencilHierarchy* rap,
+                                    obs::PhaseProfile* profile) const {
   PBMG_CHECK(level >= 2, "recurse_body: cannot recurse below level 2");
   PBMG_CHECK(sub_accuracy_index >= kClassicalCoarse &&
                  sub_accuracy_index < config_.accuracy_count(),
              "recurse_body: sub-accuracy index out of range");
+  // Paper §2.3 RECURSE_i: one pre-relaxation, coarse-grid correction via
+  // MULTIGRID-V_j, one post-relaxation.  The relaxation is the cell's
+  // tuned smoother: point SOR at ω (the paper's 1.15 unless the
+  // runtime-parameter search handed this executor a tuned value), or a
+  // line variant for operators where point relaxation stalls.  The
+  // operator comes from the cell's tuned ladder: averaged coefficients
+  // (the historical path) or the exact Galerkin RAP coarse operators.
+  // Every sweep runs all K slots at once; each slot's operation sequence
+  // is a K = 1 walk's, so slots are bitwise independent of K.
   const std::size_t batch = xs.size();
   const grid::StencilOp op = op_at(level, coarsening, rap);
   const double recurse_omega = relax_.recurse_omega;
@@ -323,57 +252,47 @@ void TunedExecutor::recurse_body_multi_at(std::span<Grid2D* const> xs,
 
   const int n = xs[0]->n();
   const int nc = coarse_size(n);
-  std::vector<grid::ScratchPool::Lease> r_leases;
-  std::vector<grid::ScratchPool::Lease> rc_leases;
-  r_leases.reserve(batch);
-  rc_leases.reserve(batch);
-  std::vector<const Grid2D*> xs_read(xs.begin(), xs.end());
-  std::vector<Grid2D*> rs(batch);
-  std::vector<Grid2D*> rcs(batch);
-  for (std::size_t k = 0; k < batch; ++k) {
-    r_leases.push_back(pool_.acquire(n));
-    rc_leases.push_back(pool_.acquire(nc));
-    rs[k] = &r_leases.back().get();
-    rcs[k] = &rc_leases.back().get();
-  }
+  const SlotGrids r(pool_, n, batch);    // residual_op writes every cell
+  const SlotGrids rc(pool_, nc, batch);  // restriction writes all of it
   {
     obs::ScopedPhaseTimer timer(profile, obs::Phase::kRestrict, level);
-    grid::residual_op_multi(op, xs_read, bs, rs, sched_, relax_.kernels);
+    grid::residual_op_multi(op, xs, bs, r.grids(), sched_, relax_.kernels);
     for (std::size_t k = 0; k < batch; ++k) {
-      grid::restrict_full_weighting(*rs[k], *rcs[k], sched_);
+      grid::restrict_full_weighting(*r.grids()[k], *rc.grids()[k], sched_);
     }
   }
   trace(trace::Op::kRestrict, level);
 
-  std::vector<grid::ScratchPool::Lease> e_leases;
-  e_leases.reserve(batch);
-  std::vector<Grid2D*> es(batch);
-  for (std::size_t k = 0; k < batch; ++k) {
-    e_leases.push_back(pool_.acquire(nc));
-    es[k] = &e_leases.back().get();
-    es[k]->fill(0.0);  // zero guess, zero Dirichlet ring (error equation)
+  const SlotGrids e(pool_, nc, batch);
+  for (Grid2D* ek : e.grids()) {
+    ek->fill(0.0);  // zero guess, zero Dirichlet ring (error equation)
   }
-  std::vector<const Grid2D*> rcs_read(rcs.begin(), rcs.end());
   if (sub_accuracy_index == kClassicalCoarse) {
+    // Classical V-cycle coarse call: one recursion body per level (direct
+    // at the base), never an accuracy-certified coarse solve.  Identical
+    // to solvers::vcycle with ω = recurse ω, one pre/post sweep, and the
+    // cell's smoother and coarsening at every level (both travel down the
+    // classical ramp just as VCycleOptions would carry them).
     if (level - 1 <= 1) {
       const grid::StencilOp coarse_op = op_at(level - 1, coarsening, rap);
       obs::ScopedPhaseTimer timer(profile, obs::Phase::kDirect, level - 1);
       for (std::size_t k = 0; k < batch; ++k) {
-        direct_.solve(coarse_op, *rcs[k], *es[k]);
+        direct_.solve(coarse_op, *rc.grids()[k], *e.grids()[k]);
       }
       trace(trace::Op::kDirect, level - 1);
     } else {
-      recurse_body_multi_at(es, rcs_read, level - 1, kClassicalCoarse,
-                            smoother, coarsening, rap, profile);
+      recurse_body_at(e.grids(), rc.grids(), level - 1, kClassicalCoarse,
+                      smoother, coarsening, rap, profile);
     }
   } else {
-    run_v_multi_at(es, rcs_read, level - 1, sub_accuracy_index, rap, profile);
+    run_v_at(e.grids(), rc.grids(), level - 1, sub_accuracy_index, rap,
+             profile);
   }
 
   {
     obs::ScopedPhaseTimer timer(profile, obs::Phase::kInterpolate, level);
     for (std::size_t k = 0; k < batch; ++k) {
-      grid::interpolate_add(*es[k], *xs[k], sched_);
+      grid::interpolate_add(*e.grids()[k], *xs[k], sched_);
     }
   }
   trace(trace::Op::kInterpolate, level);
@@ -410,14 +329,17 @@ int TunedExecutor::run_fmg_at(Grid2D& x, const Grid2D& b, int level,
       trace(trace::Op::kIterative, level, entry.choice.iterations);
       return entry.choice.iterations;
     }
-    case FmgKind::kEstimateThenRecurse:
+    case FmgKind::kEstimateThenRecurse: {
       estimate_at(x, b, level, entry.choice.estimate_accuracy, rap, profile);
+      Grid2D* xs[] = {&x};
+      const Grid2D* bs[] = {&b};
       for (int it = 0; it < entry.choice.iterations; ++it) {
-        recurse_body_at(x, b, level, entry.choice.solve_accuracy,
+        recurse_body_at(xs, bs, level, entry.choice.solve_accuracy,
                         entry.choice.smoother, entry.choice.coarsening, rap,
                         profile);
       }
       return entry.choice.iterations;
+    }
   }
   return 0;  // unreachable; silences -Wreturn-type
 }

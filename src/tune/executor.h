@@ -71,7 +71,7 @@ class TunedExecutor {
   /// iterations the tuned plan actually executed — RECURSE bodies or SOR
   /// sweeps at the entry level, or 1 for a direct solve — so callers
   /// (SolveSession/SolveService) can report real cycle counts instead of
-  /// fabricating them.
+  /// fabricating them.  This is run_v_multi's K = 1 call.
   int run_v(Grid2D& x, const Grid2D& b, int accuracy_index,
             obs::PhaseProfile* profile = nullptr) const;
 
@@ -83,8 +83,10 @@ class TunedExecutor {
   /// run_v(xs[k], bs[k], accuracy_index) — the fusion reorders memory
   /// traffic, never each iterate's accumulation — which is the batched
   /// serving contract SolveService::solve_batch exposes.  All grids must
-  /// share one trained level; returns the top-level iteration count (the
-  /// same for every k, since they execute one plan).
+  /// share one trained level (InvalidArgument on a span-size mismatch, a
+  /// null slot or a grid-size mismatch); returns the top-level iteration
+  /// count (the same for every k, since they execute one plan), or 0 for
+  /// an empty span.
   int run_v_multi(std::span<Grid2D* const> xs,
                   std::span<const Grid2D* const> bs, int accuracy_index,
                   obs::PhaseProfile* profile = nullptr) const;
@@ -122,31 +124,23 @@ class TunedExecutor {
  private:
   // Every private recursion carries `rap`, the RAP ladder resolved once
   // at the public entry point for the invoked top level (see
-  // rap_for_top), so deep RECURSE bodies never re-derive it.  The _at
-  // entry points return the executed iteration count at *their* level
+  // rap_for_top), so deep RECURSE bodies never re-derive it.  The V walk
+  // exists once, over K >= 1 validated slots (a solo solve is the K = 1
+  // batch); run_v_at returns the executed iteration count at *its* level
   // (the public methods surface the top level's).
-  int run_v_at(Grid2D& x, const Grid2D& b, int level, int accuracy_index,
+  int run_v_at(std::span<Grid2D* const> xs, std::span<const Grid2D* const> bs,
+               int level, int accuracy_index,
                const grid::StencilHierarchy* rap,
                obs::PhaseProfile* profile) const;
-  int run_v_multi_at(std::span<Grid2D* const> xs,
-                     std::span<const Grid2D* const> bs, int level,
-                     int accuracy_index, const grid::StencilHierarchy* rap,
-                     obs::PhaseProfile* profile) const;
-  void recurse_body_multi_at(std::span<Grid2D* const> xs,
-                             std::span<const Grid2D* const> bs, int level,
-                             int sub_accuracy_index,
-                             solvers::RelaxKind smoother,
-                             grid::Coarsening coarsening,
-                             const grid::StencilHierarchy* rap,
-                             obs::PhaseProfile* profile) const;
-  int run_fmg_at(Grid2D& x, const Grid2D& b, int level, int accuracy_index,
-                 const grid::StencilHierarchy* rap,
-                 obs::PhaseProfile* profile) const;
-  void recurse_body_at(Grid2D& x, const Grid2D& b, int level,
+  void recurse_body_at(std::span<Grid2D* const> xs,
+                       std::span<const Grid2D* const> bs, int level,
                        int sub_accuracy_index, solvers::RelaxKind smoother,
                        grid::Coarsening coarsening,
                        const grid::StencilHierarchy* rap,
                        obs::PhaseProfile* profile) const;
+  int run_fmg_at(Grid2D& x, const Grid2D& b, int level, int accuracy_index,
+                 const grid::StencilHierarchy* rap,
+                 obs::PhaseProfile* profile) const;
   void estimate_at(Grid2D& x, const Grid2D& b, int level,
                    int estimate_accuracy_index,
                    const grid::StencilHierarchy* rap,

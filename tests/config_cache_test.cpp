@@ -109,8 +109,45 @@ TEST(ConfigCacheKey, DivergesWhenAnyFieldChanges) {
   changed.accuracies = {10.0, 1e3, 1e5, 1e7, 1e11};  // different top rung
   EXPECT_NE(config_cache_key(changed, "serial", "autotuned"), reference);
 
+  changed = tiny_options();
+  changed.train_fmg = !base.train_fmg;
+  EXPECT_NE(config_cache_key(changed, "serial", "autotuned"), reference);
+
   EXPECT_NE(config_cache_key(base, "niagara", "autotuned"), reference);
   EXPECT_NE(config_cache_key(base, "serial", "heuristic1"), reference);
+}
+
+TEST(ConfigCache, VOnlyTablesAreNeverServedToAFullTrainingRequest) {
+  // A V-only table (train_fmg = false) has no FULL-MULTIGRID cells, so a
+  // caller that asked for full tables must not get it back from a cache
+  // directory a V-only run filled first; it trains its own.
+  const auto dir = fresh_dir("pbmg_cc_train_fmg");
+  TrainerOptions v_only = tiny_options();
+  v_only.train_fmg = false;
+  TrainerOptions full = tiny_options();
+  full.train_fmg = true;
+  bool from_cache = true;
+  const TunedConfig v_config =
+      load_or_train(v_only, engine(), dir.string(), -1, &from_cache);
+  EXPECT_FALSE(from_cache);
+  EXPECT_FALSE(v_config.fmg_entry(full.max_level, 0).trained);
+
+  from_cache = true;
+  const TunedConfig full_config =
+      load_or_train(full, engine(), dir.string(), -1, &from_cache);
+  EXPECT_FALSE(from_cache);
+  for (int level = 1; level <= full.max_level; ++level) {
+    for (int a = 0; a < full_config.accuracy_count(); ++a) {
+      EXPECT_TRUE(full_config.fmg_entry(level, a).trained)
+          << "cell (" << level << "," << a << ")";
+    }
+  }
+  // Both tables now sit side by side and each loads back as a hit.
+  load_or_train(v_only, engine(), dir.string(), -1, &from_cache);
+  EXPECT_TRUE(from_cache);
+  load_or_train(full, engine(), dir.string(), -1, &from_cache);
+  EXPECT_TRUE(from_cache);
+  std::filesystem::remove_all(dir);
 }
 
 // ------------------------------------------------------- problem specs --
@@ -206,7 +243,7 @@ TEST(ProblemSpecKey, OldV3SmootherlessSchemaIsACleanMiss) {
   const auto dir = fresh_dir("pbmg_cc_v3schema");
   const TrainerOptions options = tiny_options();
   const std::string new_key = config_cache_key(options, "serial", "autotuned");
-  EXPECT_EQ(new_key.rfind("v7_", 0), 0u);
+  EXPECT_EQ(new_key.rfind("v8_", 0), 0u);
   EXPECT_NE(new_key.find("_sm"), std::string::npos);
   // The exact v3 layout for tiny_options (see PR 3's config_cache.cpp):
   // v3_<strategy>_<profile>_<op>_<dist>_L<level>_m<rungs>_p<exp>_i<n>_s<seed>.
@@ -234,7 +271,7 @@ TEST(ProblemSpecKey, OldV6BaselinelessSchemaIsACleanMiss) {
   const auto dir = fresh_dir("pbmg_cc_v6schema");
   const TrainerOptions options = tiny_options();
   const std::string new_key = config_cache_key(options, "serial", "autotuned");
-  EXPECT_EQ(new_key.rfind("v7_", 0), 0u);
+  EXPECT_EQ(new_key.rfind("v8_", 0), 0u);
   // The exact v6 layout for tiny_options (see PR 7's config_cache.cpp):
   // v6_<strategy>_<profile>_<op>_<dist>_L<level>_m<rungs>_p<exp>_i<n>_
   // s<seed>_sm<smoothers>_co<coarsenings>.
@@ -265,7 +302,7 @@ TEST(ProblemSpecKey, OldV4CoarseninglessSchemaIsACleanMiss) {
   const auto dir = fresh_dir("pbmg_cc_v4schema");
   const TrainerOptions options = tiny_options();
   const std::string new_key = config_cache_key(options, "serial", "autotuned");
-  EXPECT_EQ(new_key.rfind("v7_", 0), 0u);
+  EXPECT_EQ(new_key.rfind("v8_", 0), 0u);
   EXPECT_NE(new_key.find("_co"), std::string::npos);
   // The exact v4 layout for tiny_options (see PR 4's config_cache.cpp):
   // v4_<strategy>_<profile>_<op>_<dist>_L<level>_m<rungs>_p<exp>_i<n>_
@@ -296,7 +333,7 @@ TEST(ProblemSpecKey, OldV5KernelPolicylessSchemaIsACleanMiss) {
   const auto dir = fresh_dir("pbmg_cc_v5schema");
   const TrainerOptions options = tiny_options();
   const std::string new_key = config_cache_key(options, "serial", "autotuned");
-  EXPECT_EQ(new_key.rfind("v7_", 0), 0u);
+  EXPECT_EQ(new_key.rfind("v8_", 0), 0u);
   // The exact v5 layout for tiny_options (see PR 5's config_cache.cpp):
   // v5_<strategy>_<profile>_<op>_<dist>_L<level>_m<rungs>_p<exp>_i<n>_
   // s<seed>_sm<smoothers>_co<coarsenings>.

@@ -22,6 +22,7 @@
 #include "grid/problem.h"
 #include "support/rng.h"
 #include "tune/accuracy.h"
+#include "tune/executor.h"
 #include "tune/trainer.h"
 
 namespace pbmg {
@@ -248,6 +249,46 @@ TEST(FleetBatch, BatchBitwiseMatchesSoloAcrossThreadCounts) {
       }
     }
   }
+}
+
+TEST(FleetBatch, BatchedVWalkRejectsMalformedSpans) {
+  // run_v is run_v_multi's batch of one, so these guards front every V
+  // solve: span-size mismatch, null slots and size mismatches (between
+  // slots, against the trained levels, against the bound operator
+  // ladder) throw InvalidArgument; an empty batch runs nothing.
+  const int n = size_of_level(kMaxLevel);
+  const tune::TunedExecutor poisson(trained(), engine().scheduler(),
+                                    engine().direct(), engine().scratch(),
+                                    nullptr, engine().relax());
+  const grid::StencilHierarchy short_ladder(
+      make_operator(size_of_level(kMaxLevel - 1),
+                    OperatorFamily::kJumpCoefficient));
+  const tune::TunedExecutor bound(trained(), engine().scheduler(),
+                                  engine().direct(), engine().scratch(),
+                                  nullptr, engine().relax(), &short_ladder);
+  Grid2D x0(n, 0.0);
+  Grid2D x1(n, 0.0);
+  const Grid2D b0(n, 1.0);
+  const Grid2D b1(n, 1.0);
+  Grid2D coarse(size_of_level(kMaxLevel - 1), 0.0);
+  Grid2D too_fine(size_of_level(kMaxLevel + 1), 0.0);
+  const Grid2D b_fine(size_of_level(kMaxLevel + 1), 1.0);
+  using XSpan = std::vector<Grid2D*>;
+  using BSpan = std::vector<const Grid2D*>;
+  EXPECT_THROW(poisson.run_v_multi(XSpan{&x0, &x1}, BSpan{&b0}, 0),
+               InvalidArgument);
+  EXPECT_THROW(poisson.run_v_multi(XSpan{nullptr, &x1}, BSpan{&b0, &b1}, 0),
+               InvalidArgument);
+  EXPECT_THROW(poisson.run_v_multi(XSpan{&x0, &x1}, BSpan{&b0, nullptr}, 0),
+               InvalidArgument);
+  EXPECT_THROW(poisson.run_v_multi(XSpan{&x0, &coarse}, BSpan{&b0, &b1}, 0),
+               InvalidArgument);
+  EXPECT_THROW(poisson.run_v(coarse, b0, 0), InvalidArgument);
+  EXPECT_THROW(poisson.run_v(too_fine, b_fine, 0), InvalidArgument);
+  EXPECT_THROW(bound.run_v(x0, b0, 0), InvalidArgument);
+  const std::int64_t acquires = engine().scratch().stats().acquires;
+  EXPECT_EQ(poisson.run_v_multi(XSpan{}, BSpan{}, 0), 0);
+  EXPECT_EQ(engine().scratch().stats().acquires, acquires);
 }
 
 TEST(FleetBatch, BatchAccountingCountsEveryRhsAndOneLatencySample) {

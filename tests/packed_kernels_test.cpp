@@ -459,8 +459,8 @@ TEST(MultiRhsParity, PoissonFastPathAndThreadCountsMatchSolo) {
 }
 
 TEST(MultiRhsParity, BatchSizesIncludingSingleAndOddMatchSolo) {
-  // K = 1 routes to the solo code path outright; K = 5 leaves a partial
-  // trailing element in any would-be unrolling.  Both must hold parity.
+  // K = 1 is the solo call itself; K = 5 leaves a partial trailing
+  // element in any would-be unrolling.  Both must hold parity.
   const StencilOp op = make_operator(17, OperatorFamily::kAnisoTheta45);
   std::uint64_t seed = 0x0DD;
   for (const int k_count : {1, 2, 5}) {
@@ -468,6 +468,94 @@ TEST(MultiRhsParity, BatchSizesIncludingSingleAndOddMatchSolo) {
     expect_all_multi_parity(op, packed_policy(4), k_count, /*threads=*/4,
                             ++seed);
   }
+}
+
+// ---------------------------------------------------------- span guards --
+
+using XSpan = std::vector<Grid2D*>;
+using BSpan = std::vector<const Grid2D*>;
+
+/// Runs the argument guards every batched sweep shares — each solo call
+/// passes through them as a batch of one.  `run(xs, bs)` calls the sweep
+/// under test.  A span-size mismatch, a null slot and a grid/operator size
+/// mismatch must throw InvalidArgument (PBMG_CHECK, so in Release too);
+/// an empty batch must be a no-op that leases no scratch.
+template <typename Run>
+void expect_span_guards(int n, ScratchPool& pool, const Run& run) {
+  Grid2D x0 = random_grid(n, 0xA0);
+  Grid2D x1 = random_grid(n, 0xA1);
+  const Grid2D b0 = random_grid(n, 0xB0);
+  const Grid2D b1 = random_grid(n, 0xB1);
+  Grid2D wrong = random_grid(coarse_size(n), 0xC0);
+  EXPECT_THROW(run(XSpan{&x0, &x1}, BSpan{&b0}), InvalidArgument)
+      << "span size mismatch";
+  EXPECT_THROW(run(XSpan{nullptr, &x1}, BSpan{&b0, &b1}), InvalidArgument)
+      << "null x slot";
+  EXPECT_THROW(run(XSpan{&x0, &x1}, BSpan{&b0, nullptr}), InvalidArgument)
+      << "null b slot";
+  EXPECT_THROW(run(XSpan{&x0, &wrong}, BSpan{&b0, &b1}), InvalidArgument)
+      << "grid/operator size mismatch";
+  EXPECT_THROW(run(XSpan{&wrong}, BSpan{&b0}), InvalidArgument)
+      << "solo grid/operator size mismatch";
+  const std::int64_t acquires = pool.stats().acquires;
+  EXPECT_NO_THROW(run(XSpan{}, BSpan{}));
+  EXPECT_EQ(pool.stats().acquires, acquires) << "empty batch leased scratch";
+}
+
+TEST(MultiRhsGuards, BatchedSweepsRejectMalformedSpans) {
+  const int n = 17;
+  Engine& eng = engine_with(1);
+  rt::Scheduler& sched = eng.scheduler();
+  for (const StencilOp& op :
+       {StencilOp::poisson(n), make_operator(n, OperatorFamily::kJumpCoefficient),
+        make_operator(n, OperatorFamily::kAnisoTheta30)}) {
+    for (const KernelPolicy& policy : {KernelPolicy{}, packed_policy(4)}) {
+      SCOPED_TRACE("poisson=" + std::to_string(op.is_poisson()) +
+                   " nine=" + std::to_string(op.is_nine_point()) +
+                   " layout=" + to_string(policy.layout));
+      expect_span_guards(n, eng.scratch(), [&](XSpan xs, BSpan bs) {
+        // rs mirrors xs (null stays null, sizes follow) so only the
+        // guard under test fires.
+        std::vector<Grid2D> r_store;
+        r_store.reserve(xs.size());
+        std::vector<Grid2D*> rs;
+        for (Grid2D* x : xs) {
+          r_store.emplace_back(x != nullptr ? x->n() : n, 0.0);
+          rs.push_back(&r_store.back());
+        }
+        const BSpan xs_read(xs.begin(), xs.end());
+        residual_op_multi(op, xs_read, bs, rs, sched, policy);
+      });
+      expect_span_guards(n, eng.scratch(), [&](XSpan xs, BSpan bs) {
+        solvers::sor_sweep_multi(op, xs, bs, 1.15, sched, policy);
+      });
+      expect_span_guards(n, eng.scratch(), [&](XSpan xs, BSpan bs) {
+        solvers::line_relax_sweep_multi(op, xs, bs,
+                                        solvers::RelaxKind::kLineZebraAlt,
+                                        sched, eng.scratch(), policy);
+      });
+    }
+  }
+}
+
+TEST(MultiRhsGuards, ResidualOutputSpanIsCheckedLikeTheInputs) {
+  const int n = 17;
+  const StencilOp op = make_operator(n, OperatorFamily::kSmoothVariable);
+  rt::Scheduler& sched = engine_with(1).scheduler();
+  const Grid2D x = random_grid(n, 0xD0);
+  const Grid2D b = random_grid(n, 0xD1);
+  Grid2D r(n, 0.0);
+  Grid2D wrong(coarse_size(n), 0.0);
+  const BSpan xs{&x};
+  const BSpan bs{&b};
+  EXPECT_THROW(residual_op_multi(op, xs, bs, XSpan{&r, &r}, sched),
+               InvalidArgument);
+  EXPECT_THROW(residual_op_multi(op, xs, bs, XSpan{nullptr}, sched),
+               InvalidArgument);
+  EXPECT_THROW(residual_op_multi(op, xs, bs, XSpan{&wrong}, sched),
+               InvalidArgument);
+  EXPECT_THROW(residual_op(op, x, b, wrong, sched), InvalidArgument);
+  EXPECT_THROW(apply_op(op, x, wrong, sched), InvalidArgument);
 }
 
 TEST(PackedParity, RepeatedRunsAreDeterministic) {
